@@ -91,6 +91,47 @@ let test_rng_choose () =
   Alcotest.check_raises "empty" (Invalid_argument "Rng.choose: empty list") (fun () ->
       ignore (Rng.choose t []))
 
+(* Bit-exact reference streams: the generator's representation may
+   change, its outputs may not. Every draw kind is pinned, floats at
+   full precision. *)
+let test_rng_pinned_vectors () =
+  let vector seed =
+    let t = Rng.create seed in
+    let a = Rng.int64 t in
+    let b = Rng.int64 t in
+    let f = Rng.float t in
+    let i = Rng.int t 1000 in
+    let j = Rng.int t 3 in
+    let c1 = Rng.bool t 0.5 and c2 = Rng.bool t 0.25 and c3 = Rng.bool t 0.9 in
+    let child = Rng.split t in
+    let twin = Rng.copy t in
+    let ch = Rng.int64 child and p = Rng.int64 t and tw = Rng.int64 twin in
+    let g1 = Rng.gaussian t and g2 = Rng.gaussian child in
+    Printf.sprintf "%Lx %Lx %h %d %d %b%b%b %Lx %Lx %Lx %h %h" a b f i j c1 c2 c3 ch p tw
+      g1 g2
+  in
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) expected (vector seed))
+    [
+      ( 0,
+        "e220a8397b1dcdaf 6e789e6aa1b965f4 0x1.b1174620025p-6 970 0 truetruetrue \
+         ea36f3cc1d96075 f3b8488c368cb0a6 f3b8488c368cb0a6 0x1.81fae2d6ddccbp-4 \
+         -0x1.83e7c4cb8f8d3p-1" );
+      ( 42,
+        "bdd732262feb6e95 28efe333b266f103 0x1.1d499d5c4c3e6p-2 344 0 falsetruetrue \
+         c4292e221dc4866 9e54d738297f77ae 9e54d738297f77ae -0x1.c76296a7a60e6p+0 \
+         -0x1.aa48f48f781aap+0" );
+      ( 0xC0FFEE,
+        "ca8216fa9058d0fa ece45babce870479 0x1.0f7d274942d4ep-1 353 2 falsetruetrue \
+         b502a33adbd05b74 a3148d0ad0ad2a9a a3148d0ad0ad2a9a -0x1.155c64093c975p-1 \
+         0x1.308fe58d0b3cdp+0" );
+      ( -7,
+        "6c1e186443822970 7a87f4dabcf192aa 0x1.d0627fc3ae6ap-1 159 1 \
+         falsefalsetrue 833ecd95969ffac6 66a586e6dbd6e959 66a586e6dbd6e959 \
+         -0x1.f37cf76611012p-1 0x1.cac8088d126bdp+0" );
+    ]
+
 (* ---------- Cplx ---------- *)
 
 let test_cplx_arith () =
@@ -355,6 +396,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choose" `Quick test_rng_choose;
+          Alcotest.test_case "pinned vectors" `Quick test_rng_pinned_vectors;
         ] );
       ( "cplx",
         [

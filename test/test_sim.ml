@@ -622,6 +622,104 @@ let test_runner_backends_agree () =
   Alcotest.(check (float 2e-6))
     "success rates" sv.Runner.success_rate auto.Runner.success_rate
 
+(* ---------- Golden simulation digest ---------- *)
+
+(* Hand-built Agave executables whose fused plans run steps out of gate
+   order: wire 0 sees only 1Q gates, so its fused run is flushed as the
+   plan's last step although its gates come first in the stream. A
+   trajectory whose first erred gate sits on wire 0 often also errs in an
+   earlier step. [prefix] puts a Clifford prefix in front (the hybrid
+   engine), otherwise an error-free non-Clifford Rz leads (dense). *)
+let out_of_order_exe ~prefix =
+  let rx q = G.One (G.Rx (Float.pi /. 2.0), q) in
+  let layer =
+    [ rx 1; G.Two (G.Cz, 1, 2); rx 2; G.Two (G.Cz, 2, 3); rx 3; G.One (G.Rz 0.7, 2) ]
+  in
+  let head =
+    if prefix then [ rx 1; G.Two (G.Cz, 1, 2); rx 2; G.Two (G.Cz, 2, 3); G.One (G.Rz 0.3, 1) ]
+    else [ G.One (G.Rz 0.3, 1) ]
+  in
+  let gates =
+    head @ List.init 8 (fun _ -> rx 0) @ List.concat (List.init 4 (fun _ -> layer))
+    @ List.init 4 (fun q -> G.Measure q)
+  in
+  Triq.Compiled.make ~machine:Machines.agave ~compiler:"hand-built" ~day:0
+    ~hardware:(circuit 4 gates) ~initial_placement:[| 0; 1; 2; 3 |]
+    ~final_placement:[| 0; 1; 2; 3 |]
+    ~readout_map:[ (0, 0); (1, 1); (2, 2); (3, 3) ]
+    ~swap_count:0 ~flipped_cnots:0 ~compile_time_s:0.0 ()
+
+(* Every bundled benchmark on every machine it fits, at two levels, plus
+   the hand-built executables above. *)
+let golden_cells =
+  lazy
+    (List.concat_map
+       (fun (p : Bench_kit.Programs.t) ->
+         List.concat_map
+           (fun m ->
+             if not (Device.Machine.fits m p.circuit) then []
+             else
+               List.map
+                 (fun level ->
+                   ( Pipeline.to_compiled (Pipeline.compile_level m p.circuit ~level),
+                     p.spec ))
+                 [ Pipeline.N; Pipeline.OneQOptCN ])
+           Machines.all)
+       Bench_kit.Programs.all
+    @ List.map
+        (fun prefix -> (out_of_order_exe ~prefix, Ir.Spec.deterministic [ 0; 1; 2; 3 ] "0000"))
+        [ false; true ])
+
+(* One MD5 per engine path over every cell's outcome: distributions at
+   full precision, counts, success rate. Cells a path cannot run (the
+   stabilizer on non-Clifford circuits) contribute a marker. *)
+let golden_digests pool =
+  let make backend fusion explicit_t1 =
+    Runner.Config.make ~seed:11 ~trials:2000 ~trajectories:110 ~backend ~fusion
+      ~explicit_t1 ~pool ()
+  in
+  let paths =
+    [
+      ("auto fused", make Runner.Config.Auto true false);
+      ("auto unfused", make Runner.Config.Auto false false);
+      ("statevector", make Runner.Config.Statevector true false);
+      ("stabilizer", make Runner.Config.Stabilizer true false);
+      ("explicit t1", make Runner.Config.Auto true true);
+    ]
+  in
+  List.map
+    (fun (name, config) ->
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun (compiled, spec) ->
+          match Runner.simulate ~config compiled spec with
+          | o ->
+            List.iter (fun (k, v) -> Printf.bprintf b "%s=%h;" k v) o.Runner.distribution;
+            List.iter (fun (k, v) -> Printf.bprintf b "%s=%d;" k v) o.Runner.counts;
+            Printf.bprintf b "%h|" o.Runner.success_rate
+          | exception Invalid_argument _ -> Buffer.add_string b "-|")
+        (Lazy.force golden_cells);
+      (name, Digest.to_hex (Digest.string (Buffer.contents b))))
+    paths
+
+let test_runner_golden_digest () =
+  let expected =
+    [
+      ("auto fused", "dc39732718bc06bce2cdaa2c2686cea8");
+      ("auto unfused", "b9a5969996237d5d08d0b3badb14c14c");
+      ("statevector", "89bb16db7e68be17f7d7f21eeed48666");
+      ("stabilizer", "fb028f46a4d9355e8aad94d38532ef32");
+      ("explicit t1", "8f4f5b8282568d359ed489e84b6642d5");
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      Parallel.Pool.with_pool ~jobs (fun pool ->
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "digests, %d domain(s)" jobs)
+            expected (golden_digests pool)))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -685,5 +783,6 @@ let () =
       ( "backends",
         [
           Alcotest.test_case "agree end to end" `Quick test_runner_backends_agree;
+          Alcotest.test_case "golden digest" `Quick test_runner_golden_digest;
         ] );
     ]
