@@ -128,8 +128,17 @@ let level_arg =
   Arg.(value & opt string "1qoptcn" & info [ "O"; "level" ] ~docv:"LEVEL" ~doc)
 
 let day_arg =
-  let doc = "Calibration day to compile against." in
-  Arg.(value & opt int 0 & info [ "day" ] ~docv:"DAY" ~doc)
+  let doc = "Calibration day to compile against (0 or later)." in
+  let day =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok d when d < 0 ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a day >= 0" s))
+      | r -> r
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt day 0 & info [ "day" ] ~docv:"DAY" ~doc)
 
 (* Evaluates to () after sizing the shared domain pool; subcommands that
    simulate or sweep thread this term in so -j takes effect before any

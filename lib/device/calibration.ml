@@ -16,6 +16,7 @@ type t = {
   day : int;
   one_q : float array;
   two_q : ((int * int) * float) list;
+  two_q_table : float array array;
   readout : float array;
 }
 
@@ -45,7 +46,23 @@ let drifted_error ~seed ~kind ~a ~b ~day ~avg ~profile =
   let temporal = lognormal (entity_rng ~seed ~kind ~a ~b ~day) profile.temporal_sigma in
   clamp_error avg (avg *. spatial *. temporal)
 
+(* Dense symmetric lookup over [two_q] for O(1) [two_q_err]; uncoupled
+   pairs hold -1.0 (not NaN, so that calibrations still compare with
+   [=]). Where a pair is listed twice the first entry wins, as a search
+   of the list would find it. *)
+let table_of n two_q =
+  let table = Array.make_matrix n n (-1.0) in
+  List.iter
+    (fun ((a, b), e) ->
+      if table.(a).(b) < 0.0 then begin
+        table.(a).(b) <- e;
+        table.(b).(a) <- e
+      end)
+    two_q;
+  table
+
 let generate ~seed ~day topology profile =
+  if day < 0 then invalid_arg "Calibration.generate: day must be >= 0";
   let n = Topology.n_qubits topology in
   let one_q =
     Array.init n (fun q ->
@@ -67,7 +84,7 @@ let generate ~seed ~day topology profile =
             ~avg:(profile.avg_two_q_err *. scale) ~profile ))
       (Topology.edges topology)
   in
-  { day; one_q; two_q; readout }
+  { day; one_q; two_q; two_q_table = table_of n two_q; readout }
 
 let series ~seed ~days topology profile =
   List.init days (fun day -> generate ~seed ~day topology profile)
@@ -79,14 +96,22 @@ let explicit ~day ~one_q ~two_q ~readout =
   Array.iter (check_error "one_q") one_q;
   Array.iter (check_error "readout") readout;
   let two_q = List.map (fun (pair, e) -> check_error "two_q" e; (normalize pair, e)) two_q in
-  { day; one_q; two_q; readout }
+  let n =
+    List.fold_left
+      (fun n ((a, b), _) ->
+        if a < 0 then invalid_arg "Calibration: negative qubit in two_q";
+        max n (b + 1))
+      (Array.length one_q) two_q
+  in
+  { day; one_q; two_q; two_q_table = table_of n two_q; readout }
 
 let one_q_err t q = t.one_q.(q)
 
 let two_q_err t a b =
-  match List.assoc_opt (normalize (a, b)) t.two_q with
-  | Some e -> e
-  | None -> raise Not_found
+  let n = Array.length t.two_q_table in
+  if a < 0 || b < 0 || a >= n || b >= n then raise Not_found;
+  let e = t.two_q_table.(a).(b) in
+  if e < 0.0 then raise Not_found else e
 
 let readout_err t q = t.readout.(q)
 

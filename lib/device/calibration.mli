@@ -30,12 +30,16 @@ type t = private {
   day : int;
   one_q : float array;  (** per-qubit 1Q gate error *)
   two_q : ((int * int) * float) list;  (** per-coupling 2Q error, normalized pairs *)
+  two_q_table : float array array;
+      (** [two_q] as a symmetric qubit-by-qubit table behind {!two_q_err};
+          uncoupled pairs hold a negative value *)
   readout : float array;  (** per-qubit readout error *)
 }
 
 (** [generate ~seed ~day topology profile] is the snapshot published on
     [day]. Snapshots for the same seed/day are identical; different days
-    drift around the profile averages. *)
+    drift around the profile averages. Raises [Invalid_argument] when
+    [day < 0]. *)
 val generate : seed:int -> day:int -> Topology.t -> profile -> t
 
 (** [series ~seed ~days topology profile] is the calibration history for
@@ -44,7 +48,7 @@ val series : seed:int -> days:int -> Topology.t -> profile -> t list
 
 (** [explicit ~day ~one_q ~two_q ~readout] builds a snapshot directly —
     used for the paper's worked example (Figure 6) and for tests. Error
-    values must be in [0, 1]. *)
+    values must be in [0, 1] and qubits non-negative. *)
 val explicit :
   day:int ->
   one_q:float array ->

@@ -220,7 +220,29 @@ let test_calibration_missing_edge () =
   Alcotest.(check bool) "raises" true
     (try ignore (Calibration.two_q_err cal 1 2); false with Not_found -> true);
   (* Symmetric lookup. *)
-  Alcotest.(check (float 1e-12)) "reversed pair" 0.05 (Calibration.two_q_err cal 1 0)
+  Alcotest.(check (float 1e-12)) "reversed pair" 0.05 (Calibration.two_q_err cal 1 0);
+  Alcotest.(check bool) "out of range" true
+    (try ignore (Calibration.two_q_err cal 0 7); false with Not_found -> true);
+  (* Every machine: the lookup answers exactly the listed couplings. *)
+  List.iter
+    (fun m ->
+      let cal = Machine.calibration m ~day:1 in
+      let n = Machine.n_qubits m in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          let listed = List.assoc_opt (min a b, max a b) cal.Calibration.two_q in
+          let found = try Some (Calibration.two_q_err cal a b) with Not_found -> None in
+          if listed <> found then
+            Alcotest.failf "%s: pair %d-%d disagrees with the coupling list"
+              m.Machine.name a b
+        done
+      done)
+    Machines.all
+
+let test_calibration_negative_day () =
+  Alcotest.check_raises "day -1"
+    (Invalid_argument "Calibration.generate: day must be >= 0") (fun () ->
+      ignore (Machine.calibration Machines.ibmq5 ~day:(-1)))
 
 (* ---------- Machines ---------- *)
 
@@ -465,6 +487,7 @@ let () =
           Alcotest.test_case "explicit validation" `Quick
             test_calibration_explicit_validation;
           Alcotest.test_case "edge lookup" `Quick test_calibration_missing_edge;
+          Alcotest.test_case "negative day" `Quick test_calibration_negative_day;
         ] );
       ( "json",
         [
