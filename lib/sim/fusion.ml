@@ -1,10 +1,11 @@
 module Matrix = Mathkit.Matrix
 
 (* One original gate inside a fused step, keyed back to its position in
-   the prepared gate stream so error injection can address it. *)
-type member = { idx : int; gate : Ir.Gate.t; matrix : Matrix.t }
+   the prepared gate stream so error injection can address it. [solo] is
+   the gate alone as a one-member step, for the unfused fallback. *)
+type member = { idx : int; gate : Ir.Gate.t; matrix : Matrix.t; solo : step }
 
-type step =
+and step =
   | Apply1 of { q : int; m : Matrix.t; members : member array }
   | Diag1 of {
       q : int;
@@ -48,6 +49,26 @@ let diag_of m =
     let d0 = Matrix.get m 0 0 and d1 = Matrix.get m 1 1 in
     Some ((d0.re, d0.im), (d1.re, d1.im))
   else None
+
+(* The cheapest kernel for one gate alone, chosen once when the member is
+   made rather than on every unfused application. *)
+let member ~idx gate matrix =
+  let members = [||] in
+  let solo =
+    match gate with
+    | Ir.Gate.One (_, q) -> (
+        match diag_of matrix with
+        | Some (d0, d1) -> Diag1 { q; d0; d1; members }
+        | None -> Apply1 { q; m = matrix; members })
+    | Ir.Gate.Two (Ir.Gate.Cnot, a, b) -> Cnot { c = a; x = b; members }
+    | Ir.Gate.Two (Ir.Gate.Cz, a, b) -> Cz { a; b; members }
+    | Ir.Gate.Two (Ir.Gate.Swap, a, b) -> Swap { a; b; members }
+    | Ir.Gate.Two (Ir.Gate.Iswap, a, b) -> Iswap { a; b; members }
+    | Ir.Gate.Two (Ir.Gate.Xx _, a, b) -> Two2 { m = matrix; a; b; members }
+    | Ir.Gate.Measure _ | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ ->
+        invalid_arg "Fusion.member: only 1Q/2Q gates"
+  in
+  { idx; gate; matrix; solo }
 
 (* Most diagonal gates the batcher sees come from compiled circuits'
    Rz/CZ mixtures over a handful of wires; above this many distinct
@@ -181,7 +202,8 @@ let plan ~n members =
           in
           steps := st :: !steps
       | Ir.Gate.Measure _ | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ ->
-          invalid_arg "Fusion.plan: only 1Q/2Q gates")
+          (* [member] admits 1Q/2Q gates only. *)
+          assert false)
     members;
   for q = 0 to n - 1 do
     flush q
@@ -190,22 +212,6 @@ let plan ~n members =
     steps = Array.of_list (batch_diagonals (List.rev !steps));
     n_members = Array.length members;
   }
-
-(* Apply one original gate, routed to the cheapest kernel for its
-   kind — the unfused fallback used when a step contains an erred
-   gate. *)
-let apply_member sv mem =
-  match mem.gate with
-  | Ir.Gate.One (_, q) -> (
-      match diag_of mem.matrix with
-      | Some (d0, d1) -> Statevector.apply_diag_one sv ~d0 ~d1 q
-      | None -> Statevector.apply_one sv mem.matrix q)
-  | Ir.Gate.Two (Ir.Gate.Cnot, a, b) -> Statevector.apply_cnot sv a b
-  | Ir.Gate.Two (Ir.Gate.Cz, a, b) -> Statevector.apply_cz sv a b
-  | Ir.Gate.Two (Ir.Gate.Swap, a, b) -> Statevector.apply_swap sv a b
-  | Ir.Gate.Two (Ir.Gate.Iswap, a, b) -> Statevector.apply_iswap sv a b
-  | Ir.Gate.Two (_, a, b) -> Statevector.apply_two sv mem.matrix a b
-  | Ir.Gate.Measure _ | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ -> assert false
 
 let apply_step sv st =
   match st with
@@ -218,4 +224,4 @@ let apply_step sv st =
   | Two2 { m; a; b; _ } -> Statevector.apply_two sv m a b
   | DiagBatch { qs; fr; fi; _ } -> Statevector.apply_diag_table sv ~qs ~fr ~fi
 
-let run_clean sv t = Array.iter (apply_step sv) t.steps
+let apply_member sv mem = apply_step sv mem.solo

@@ -22,16 +22,25 @@
     when one of its gates drew an error, preserving the per-wire
     operation order the error model depends on. *)
 
-type member = { idx : int; gate : Ir.Gate.t; matrix : Mathkit.Matrix.t }
-
 type step
+
+type member = private {
+  idx : int;
+  gate : Ir.Gate.t;
+  matrix : Mathkit.Matrix.t;
+  solo : step;  (** the gate alone, on the cheapest kernel for its kind *)
+}
 
 type t
 
+(** [member ~idx gate matrix] wraps one prepared 1Q/2Q gate ([matrix] is
+    its unitary) for {!plan}. Raises [Invalid_argument] on
+    [Measure]/[Ccx]/[Cswap]. *)
+val member : idx:int -> Ir.Gate.t -> Mathkit.Matrix.t -> member
+
 (** [plan ~n members] fuses a prepared gate stream over [n] wires.
-    Gates must be 1Q/2Q with in-range compact operands; [member.idx] is
-    preserved into the plan for error-flag addressing. Raises
-    [Invalid_argument] on [Measure]/[Ccx]/[Cswap]. *)
+    Gates must have in-range compact operands; [member.idx] is preserved
+    into the plan for error-flag addressing. *)
 val plan : n:int -> member array -> t
 
 val n_steps : t -> int
@@ -45,9 +54,6 @@ val step_members : step -> member array
 val apply_step : Statevector.t -> step -> unit
 
 (** Apply one original gate through the cheapest kernel for its kind
-    (diagonal / permutation / generic) — the unfused fallback for steps
-    containing erred gates. *)
+    (diagonal / permutation / generic), picked when the member was made —
+    the unfused fallback for steps containing erred gates. *)
 val apply_member : Statevector.t -> member -> unit
-
-(** Run the whole plan (the clean, error-free path). *)
-val run_clean : Statevector.t -> t -> unit

@@ -90,6 +90,21 @@ type pgate = {
    amplitudes for the dense tail. *)
 let hybrid_threshold = 4
 
+(* Upper bound, in floats, on the clean-state checkpoints one simulation
+   keeps along its fused plan: 512 KiB, 2^(k+1) floats per checkpoint. *)
+let checkpoint_floats = 1 lsl 16
+
+(* A fused plan with its clean-state checkpoints: [checkpoints.(j)] is
+   the clean state before step [j * stride]; [step_of] maps a prepared
+   gate to the step that holds it. *)
+type resumable = {
+  steps : Fusion.step array;
+  step_of : int array;
+  stride : int;
+  checkpoints : Statevector.t array;
+  ideal : float array;
+}
+
 let simulate ?(config = Config.default) compiled spec =
   let {
     Config.seed;
@@ -216,9 +231,9 @@ let simulate ?(config = Config.default) compiled spec =
   let members_of lo hi =
     Array.init (hi - lo) (fun j ->
         let pg = prepared.(lo + j) in
-        { Fusion.idx = lo + j; gate = pg.cg; matrix = pg.matrix })
+        Fusion.member ~idx:(lo + j) pg.cg pg.matrix)
   in
-  let full_plan, tail_plan, apps =
+  let plan, apps =
     Obs.Span.with_span
       ~attrs:
         [
@@ -238,25 +253,29 @@ let simulate ?(config = Config.default) compiled spec =
       Array.init n_apps (fun i ->
           Stabilizer.compile_action (Option.get actions.(i)) qs_arr.(i))
     in
+    (* [`Sv] fuses the whole circuit, [`Hybrid] its dense tail. *)
     match mode with
     | `Sv when use_fusion && n_gates > 0 ->
-      (Some (Fusion.plan ~n:k (members_of 0 n_gates)), None, apps)
+      (Some (Fusion.plan ~n:k (members_of 0 n_gates)), apps)
     | `Hybrid when use_fusion && prefix_len < n_gates ->
-      (None, Some (Fusion.plan ~n:k (members_of prefix_len n_gates)), apps)
-    | _ -> (None, None, apps)
+      (Some (Fusion.plan ~n:k (members_of prefix_len n_gates)), apps)
+    | _ -> (None, apps)
   in
   let pauli = [| Ir.Matrices.one_q X; Ir.Matrices.one_q Y; Ir.Matrices.one_q Z |] in
   let tab_pauli = [| Stabilizer.X; Stabilizer.Y; Stabilizer.Z |] in
-  (* A 2Q error draws a non-identity Pauli pair by rejection. *)
+  (* A 2Q error draws a non-identity Pauli pair (pa, pb) by rejection,
+     packed as [pa lsl 2 lor pb] so that the draw allocates nothing. *)
   let rec draw_two rng =
-    let pa = Rng.int rng 4 and pb = Rng.int rng 4 in
-    if pa = 0 && pb = 0 then draw_two rng else (pa, pb)
+    let pa = Rng.int rng 4 in
+    let pb = Rng.int rng 4 in
+    if pa = 0 && pb = 0 then draw_two rng else (pa lsl 2) lor pb
   in
   let inject_sv state rng (cg : Ir.Gate.t) =
     match cg with
     | One (_, q) -> Statevector.apply_one state pauli.(Rng.int rng 3) q
     | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
+      let pair = draw_two rng in
+      let pa = pair lsr 2 and pb = pair land 3 in
       if pa > 0 then Statevector.apply_one state pauli.(pa - 1) a;
       if pb > 0 then Statevector.apply_one state pauli.(pb - 1) b
     | Measure _ | Ccx _ | Cswap _ -> assert false
@@ -265,28 +284,27 @@ let simulate ?(config = Config.default) compiled spec =
     match cg with
     | One (_, q) -> Stabilizer.apply_pauli tab q tab_pauli.(Rng.int rng 3)
     | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
+      let pair = draw_two rng in
+      let pa = pair lsr 2 and pb = pair land 3 in
       if pa > 0 then Stabilizer.apply_pauli tab a tab_pauli.(pa - 1);
       if pb > 0 then Stabilizer.apply_pauli tab b tab_pauli.(pb - 1)
     | Measure _ | Ccx _ | Cswap _ -> assert false
   in
   (* Same error-Pauli draws as [inject_tab] (identical RNG consumption),
-     but as qubit-indexed bit masks for single-row propagation. Pauli
-     index order matches [tab_pauli]: 0 = X, 1 = Y, 2 = Z. *)
-  let mask_of p q =
-    match p with
-    | 0 -> (1 lsl q, 0)
-    | 1 -> (1 lsl q, 1 lsl q)
-    | _ -> (0, 1 lsl q)
+     xored into a Pauli frame. Pauli index order matches [tab_pauli]:
+     0 = X, 1 = Y, 2 = Z. *)
+  let xor_pauli (f : Stabilizer.frame) p q =
+    if p <> 2 then f.xm <- f.xm lxor (1 lsl q);
+    if p <> 0 then f.zm <- f.zm lxor (1 lsl q)
   in
-  let err_masks rng (cg : Ir.Gate.t) =
+  let inject_frame f rng (cg : Ir.Gate.t) =
     match cg with
-    | One (_, q) -> mask_of (Rng.int rng 3) q
+    | One (_, q) -> xor_pauli f (Rng.int rng 3) q
     | Two (_, a, b) ->
-      let pa, pb = draw_two rng in
-      let xa, za = if pa > 0 then mask_of (pa - 1) a else (0, 0) in
-      let xb, zb = if pb > 0 then mask_of (pb - 1) b else (0, 0) in
-      (xa lor xb, za lor zb)
+      let pair = draw_two rng in
+      let pa = pair lsr 2 and pb = pair land 3 in
+      if pa > 0 then xor_pauli f (pa - 1) a;
+      if pb > 0 then xor_pauli f (pb - 1) b
     | Measure _ | Ccx _ | Cswap _ -> assert false
   in
   (* Every trajectory draws from its own stream, split off the master in
@@ -299,18 +317,19 @@ let simulate ?(config = Config.default) compiled spec =
     traj_rng.(t) <- Rng.split master
   done;
   let counts_rng = Rng.split master in
-  (* Sample the error pattern first: clean trajectories (the common case on
-     good mappings) reuse the cached ideal output without re-simulating. *)
-  let sample_error_flags rng =
-    let any = ref false in
-    let flags = Array.make n_gates false in
+  (* Sample the error pattern into the block's [flags] first: clean
+     trajectories (the common case on good mappings) reuse the cached
+     ideal output without re-simulating. Returns the first erred gate,
+     or -1 for a clean trajectory. *)
+  let sample_errors rng flags =
+    let first = ref (-1) in
     for i = 0 to n_gates - 1 do
       let p = prepared.(i).p_err in
       let e = p > 0.0 && Rng.bool rng p in
-      if e then any := true;
+      if e && !first < 0 then first := i;
       flags.(i) <- e
     done;
-    (flags, !any)
+    !first
   in
   (* Unfused statevector execution of gates [lo, hi) with error
      injection — the fusion-off and explicit-T1 path. *)
@@ -331,24 +350,27 @@ let simulate ?(config = Config.default) compiled spec =
         | Measure _ | Ccx _ | Cswap _ -> assert false
     done
   in
-  (* Fused execution: a step whose gates are all clean applies as one
-     kernel pass; a step containing an erred gate falls back to its
-     member gates one by one, injecting the Pauli right after the erred
-     gate (per-wire order is preserved by construction, so this is
-     exact). *)
-  let run_plan state rng flags plan =
-    Array.iter
-      (fun step ->
-        let ms = Fusion.step_members step in
-        let erred = Array.exists (fun (m : Fusion.member) -> flags.(m.idx)) ms in
-        if erred then
-          Array.iter
-            (fun (m : Fusion.member) ->
-              Fusion.apply_member state m;
-              if flags.(m.idx) then inject_sv state rng m.gate)
-            ms
-        else Fusion.apply_step state step)
-      (Fusion.steps plan)
+  (* Fused execution of [steps] from step [from] on: a step whose gates
+     are all clean applies as one kernel pass; a step containing an
+     erred gate falls back to its member gates one by one, injecting the
+     Pauli right after the erred gate (per-wire order is preserved by
+     construction, so this is exact). *)
+  let run_steps state rng flags steps from =
+    for s = from to Array.length steps - 1 do
+      let st = steps.(s) in
+      let ms = Fusion.step_members st in
+      let erred = ref false in
+      for j = 0 to Array.length ms - 1 do
+        if flags.(ms.(j).Fusion.idx) then erred := true
+      done;
+      if !erred then
+        for j = 0 to Array.length ms - 1 do
+          let m = ms.(j) in
+          Fusion.apply_member state m;
+          if flags.(m.idx) then inject_sv state rng m.gate
+        done
+      else Fusion.apply_step state st
+    done
   in
   (* Tableau execution of the (Clifford) gates [lo, hi): Pauli errors
      are themselves Clifford, so erred trajectories stay polynomial. *)
@@ -367,10 +389,10 @@ let simulate ?(config = Config.default) compiled spec =
   in
   (* Per-mode shared precomputation. [`Stab]: the ideal end-state's
      frozen read-out — error trajectories never touch a tableau, they
-     only propagate each error Pauli to the circuit end (one row, O(1)
-     per gate) and re-price the support's base point. [`Hybrid]: the
-     clean prefix state, copied whenever no prefix gate erred (the
-     common case — the prefix is a minority of the gates). *)
+     only carry a Pauli frame to the circuit end (one row, O(1) per
+     gate) and re-price the support's base point. [`Hybrid]: the clean
+     prefix state, the start of the tail whenever no prefix gate erred
+     (the common case — the prefix is a minority of the gates). *)
   let stab_readout =
     match mode with
     | `Stab -> Some (Stabilizer.readout (clean_tab n_gates))
@@ -381,6 +403,43 @@ let simulate ?(config = Config.default) compiled spec =
     | `Hybrid -> Some (Stabilizer.to_statevector (clean_tab prefix_len))
     | `Stab | `Sv -> None
   in
+  let start_state () =
+    match prefix_state with Some s -> s | None -> Statevector.init k
+  in
+  let dim = 1 lsl k in
+  (* Clean run of the fused plan, keeping the clean amplitudes before
+     every [stride]-th step. A checkpoint is made by the same
+     [Fusion.apply_step] kernels a clean trajectory runs, so an erred
+     trajectory can resume from the last one at or before its earliest
+     erred step, bit for bit as if it had run from the start. At most
+     [checkpoint_floats] are kept; when only the start state fits,
+     nothing is stored and every trajectory resumes from the start. *)
+  let resumable =
+    Option.map
+      (fun plan ->
+        let steps = Fusion.steps plan in
+        let m = Array.length steps in
+        let slots = min m (checkpoint_floats / (2 * dim)) in
+        let stride = if slots <= 1 then m else (m + slots - 1) / slots in
+        let start = start_state () in
+        let checkpoints = Array.make ((m + stride - 1) / stride) start in
+        let state = Statevector.copy start in
+        Array.iteri
+          (fun s st ->
+            if s > 0 && s mod stride = 0 then
+              checkpoints.(s / stride) <- Statevector.copy state;
+            Fusion.apply_step state st)
+          steps;
+        let step_of = Array.make n_gates (-1) in
+        Array.iteri
+          (fun s st ->
+            Array.iter
+              (fun (mb : Fusion.member) -> step_of.(mb.idx) <- s)
+              (Fusion.step_members st))
+          steps;
+        { steps; step_of; stride; checkpoints; ideal = Statevector.probabilities state })
+      plan
+  in
   let clean_range_sv state lo hi =
     for i = lo to hi - 1 do
       let pg = prepared.(i) in
@@ -390,91 +449,92 @@ let simulate ?(config = Config.default) compiled spec =
       | Measure _ | Ccx _ | Cswap _ -> assert false
     done
   in
-  let run_trajectory rng flags =
-    match mode with
-    | `Stab ->
-      (* Sign-flip trick: the end-state of an erred trajectory is
-         P' |ideal> for some Pauli P' (each injected error conjugated
-         through the remaining gates), and a Pauli only flips the signs
-         of the stabilizer rows it anticommutes with. Flips from
-         successive errors xor, so order is irrelevant. *)
-      let readout = Option.get stab_readout in
-      let flips = ref 0 in
-      for i = 0 to n_gates - 1 do
-        if flags.(i) then begin
-          let xm0, zm0 = err_masks rng prepared.(i).cg in
-          let xm = ref xm0 and zm = ref zm0 in
-          for j = i + 1 to n_gates - 1 do
-            let x', z' = Stabilizer.conjugate_masks apps.(j) ~xm:!xm ~zm:!zm in
-            xm := x';
-            zm := z'
-          done;
-          flips := !flips lxor Stabilizer.flip_mask readout ~xm:!xm
-        end
-      done;
-      Stabilizer.readout_probabilities readout ~flips:!flips
-    | `Hybrid ->
-      let prefix_erred =
-        let e = ref false in
-        for i = 0 to prefix_len - 1 do
-          if flags.(i) then e := true
-        done;
-        !e
-      in
-      let state =
-        if prefix_erred then begin
-          let tab = Stabilizer.init k in
-          run_range_tab tab rng flags 0 prefix_len;
-          Stabilizer.to_statevector tab
-        end
-        else Statevector.copy (Option.get prefix_state)
-      in
-      (match tail_plan with
-      | Some plan -> run_plan state rng flags plan
-      | None -> run_range_sv state rng flags prefix_len n_gates);
-      Statevector.probabilities state
-    | `Sv ->
-      let state = Statevector.init k in
-      (match full_plan with
-      | Some plan -> run_plan state rng flags plan
-      | None -> run_range_sv state rng flags 0 n_gates);
-      Statevector.probabilities state
-  in
   (* Clean trajectories all coincide: compute the ideal output once and
      reuse it whenever the sampled error pattern is empty. *)
   let ideal_probs =
-    match mode with
-    | `Stab ->
-      Stabilizer.readout_probabilities (Option.get stab_readout) ~flips:0
-    | `Hybrid ->
-      let state = Statevector.copy (Option.get prefix_state) in
-      (match tail_plan with
-      | Some plan -> Fusion.run_clean state plan
-      | None -> clean_range_sv state prefix_len n_gates);
-      Statevector.probabilities state
-    | `Sv ->
-      let state = Statevector.init k in
-      (match full_plan with
-      | Some plan -> Fusion.run_clean state plan
-      | None -> clean_range_sv state 0 n_gates);
+    match (mode, resumable) with
+    | `Stab, _ ->
+      let probs = Array.make dim 0.0 in
+      Stabilizer.accumulate_readout (Option.get stab_readout) ~flips:0 probs;
+      probs
+    | (`Hybrid | `Sv), Some r -> r.ideal
+    | (`Hybrid | `Sv), None ->
+      let state = Statevector.copy (start_state ()) in
+      clean_range_sv state (if mode = `Hybrid then prefix_len else 0) n_gates;
       Statevector.probabilities state
   in
-  let dim = 1 lsl k in
+  (* Runs one trajectory whose first erred gate is [first] (-1 only
+     under explicit T1, where clean trajectories run too) and adds its
+     output distribution into [partial]. [frame] and [scratch] are the
+     block's reusable Pauli frame and fused-path state. *)
+  let run_trajectory rng flags first ~frame ~scratch partial =
+    match (mode, resumable) with
+    | `Stab, _ ->
+      (* Sign-flip trick: the end-state of an erred trajectory is
+         P' |ideal>, where P' is the product of the injected errors each
+         conjugated through the gates after it, and a Pauli only flips
+         the signs of the stabilizer rows it anticommutes with. Both
+         conjugation and [flip_mask] are linear over GF(2), so one frame
+         carried forward from the first error — conjugated through each
+         gate, then xored with that gate's error — yields the same flips
+         as propagating every error on its own. *)
+      let readout = Option.get stab_readout in
+      frame.Stabilizer.xm <- 0;
+      frame.zm <- 0;
+      for i = first to n_gates - 1 do
+        Stabilizer.conjugate_frame apps.(i) frame;
+        if flags.(i) then inject_frame frame rng prepared.(i).cg
+      done;
+      Stabilizer.accumulate_readout readout
+        ~flips:(Stabilizer.flip_mask readout ~xm:frame.xm)
+        partial
+    | `Hybrid, _ when first < prefix_len ->
+      let tab = Stabilizer.init k in
+      run_range_tab tab rng flags 0 prefix_len;
+      let state = Stabilizer.to_statevector tab in
+      (match resumable with
+      | Some r -> run_steps state rng flags r.steps 0
+      | None -> run_range_sv state rng flags prefix_len n_gates);
+      Statevector.accumulate_probabilities state partial
+    | (`Hybrid | `Sv), Some r ->
+      (* Fusion emits steps out of gate order (a wire's pending 1Q run
+         is flushed only when a 2Q gate or the end reaches it), so the
+         step of the first erred gate may follow another erred step:
+         resume before the minimum step over all erred gates. *)
+      let earliest = ref max_int in
+      for i = first to n_gates - 1 do
+        if flags.(i) && r.step_of.(i) < !earliest then earliest := r.step_of.(i)
+      done;
+      let c = !earliest / r.stride in
+      let state = Option.get scratch in
+      Statevector.blit ~src:r.checkpoints.(c) ~dst:state;
+      run_steps state rng flags r.steps (c * r.stride);
+      Statevector.accumulate_probabilities state partial
+    | `Hybrid, None ->
+      let state = Statevector.copy (Option.get prefix_state) in
+      run_range_sv state rng flags prefix_len n_gates;
+      Statevector.accumulate_probabilities state partial
+    | `Sv, None ->
+      let state = Statevector.init k in
+      run_range_sv state rng flags 0 n_gates;
+      Statevector.accumulate_probabilities state partial
+  in
   let run_block b =
     let partial = Array.make dim 0.0 in
+    let flags = Array.make n_gates false in
+    let frame = { Stabilizer.xm = 0; zm = 0 } in
+    let scratch = Option.map (fun _ -> Statevector.init k) resumable in
     let last = min trajectories ((b + 1) * traj_block) - 1 in
     for t = b * traj_block to last do
       let rng = traj_rng.(t) in
-      let probs =
-        let flags, any = sample_error_flags rng in
-        (* Explicit relaxation is stochastic in every trajectory, so the
-           clean-trajectory shortcut only applies without it. *)
-        if (not any) && not explicit_t1 then ideal_probs
-        else run_trajectory rng flags
-      in
-      for i = 0 to dim - 1 do
-        partial.(i) <- partial.(i) +. probs.(i)
-      done
+      let first = sample_errors rng flags in
+      (* Explicit relaxation is stochastic in every trajectory, so the
+         clean-trajectory shortcut only applies without it. *)
+      if first < 0 && not explicit_t1 then
+        for i = 0 to dim - 1 do
+          partial.(i) <- partial.(i) +. ideal_probs.(i)
+        done
+      else run_trajectory rng flags first ~frame ~scratch partial
     done;
     partial
   in

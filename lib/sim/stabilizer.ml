@@ -88,33 +88,33 @@ let apply_app t app =
       Array.iter upd t.destab;
       Array.iter upd t.stab
 
-(* Conjugate one Pauli, given as qubit-indexed bit masks (bit q = qubit
-   q), by a compiled gate, dropping the phase. This propagates an
-   injected error through the rest of a Clifford circuit as a single
-   row, O(1) per gate. *)
-let conjugate_masks app ~xm ~zm =
+(* Conjugate a Pauli frame (one Pauli as qubit-indexed bit masks, bit q
+   = qubit q) by a compiled gate in place, dropping the phase: the
+   frame carries injected errors through the rest of a Clifford circuit
+   as a single row, O(1) per gate. *)
+type frame = { mutable xm : int; mutable zm : int }
+
+let conjugate_frame app f =
   match app with
   | App1 { tab; q } ->
-      let code = ((xm lsr q) land 1) lor (((zm lsr q) land 1) lsl 1) in
+      let code = ((f.xm lsr q) land 1) lor (((f.zm lsr q) land 1) lsl 1) in
       let v = tab.(code) in
       let bit = 1 lsl q in
-      let xm = if v land 1 <> 0 then xm lor bit else xm land lnot bit in
-      let zm = if v land 2 <> 0 then zm lor bit else zm land lnot bit in
-      (xm, zm)
+      f.xm <- (if v land 1 <> 0 then f.xm lor bit else f.xm land lnot bit);
+      f.zm <- (if v land 2 <> 0 then f.zm lor bit else f.zm land lnot bit)
   | App2 { tab; a; b } ->
       let code =
-        ((xm lsr a) land 1)
-        lor (((zm lsr a) land 1) lsl 1)
-        lor (((xm lsr b) land 1) lsl 2)
-        lor (((zm lsr b) land 1) lsl 3)
+        ((f.xm lsr a) land 1)
+        lor (((f.zm lsr a) land 1) lsl 1)
+        lor (((f.xm lsr b) land 1) lsl 2)
+        lor (((f.zm lsr b) land 1) lsl 3)
       in
       let v = tab.(code) in
       let ba = 1 lsl a and bb = 1 lsl b in
-      let xm = if v land 1 <> 0 then xm lor ba else xm land lnot ba in
-      let zm = if v land 2 <> 0 then zm lor ba else zm land lnot ba in
-      let xm = if v land 4 <> 0 then xm lor bb else xm land lnot bb in
-      let zm = if v land 8 <> 0 then zm lor bb else zm land lnot bb in
-      (xm, zm)
+      let xm = if v land 1 <> 0 then f.xm lor ba else f.xm land lnot ba in
+      let zm = if v land 2 <> 0 then f.zm lor ba else f.zm land lnot ba in
+      f.xm <- (if v land 4 <> 0 then xm lor bb else xm land lnot bb);
+      f.zm <- (if v land 8 <> 0 then zm lor bb else zm land lnot bb)
 
 let apply_gate t g =
   match g with
@@ -363,7 +363,7 @@ let to_statevector t =
    every noisy-Clifford-trajectory output shares one support
    *structure* with the ideal state: the same pivot-row span, only the
    affine base point moves. [readout] freezes that structure once
-   (echelon + Gauss-Jordan with subset tracking); [readout_probabilities]
+   (echelon + Gauss-Jordan with subset tracking); [accumulate_readout]
    then prices a trajectory at O(m^2) bit operations plus the 2^s
    support walk — no tableau evolution, no echelon, no solve. *)
 type readout = {
@@ -451,9 +451,11 @@ let flip_mask r ~xm =
   done;
   !f
 
-let readout_probabilities r ~flips =
-  let dim = 1 lsl r.rn in
-  let probs = Array.make dim 0.0 in
+(* Only the 2^s support points are touched: every other entry of the
+   distribution is 0.0, and adding 0.0 leaves a sum unchanged. *)
+let accumulate_readout r ~flips acc =
+  if Array.length acc <> 1 lsl r.rn then
+    invalid_arg "Stabilizer.accumulate_readout: length mismatch";
   let s = Array.length r.xmasks in
   let p = 1.0 /. float_of_int (1 lsl s) in
   let idx = ref 0 in
@@ -462,9 +464,8 @@ let readout_probabilities r ~flips =
     if col >= 0 && r.base.(i) <> parity (flips land r.subsets.(i)) then
       idx := !idx lor (1 lsl (r.rn - 1 - col))
   done;
-  probs.(!idx) <- p;
+  acc.(!idx) <- acc.(!idx) +. p;
   for cnt = 1 to (1 lsl s) - 1 do
     idx := !idx lxor r.xmasks.(ctz cnt);
-    probs.(!idx) <- p
-  done;
-  probs
+    acc.(!idx) <- acc.(!idx) +. p
+  done

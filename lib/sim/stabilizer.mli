@@ -48,12 +48,16 @@ val compile_action : Dataflow.Tableau.Action.t -> int array -> app
 
 val apply_app : t -> app -> unit
 
-(** [conjugate_masks app ~xm ~zm] conjugates a single Pauli — given as
-    qubit-indexed bit masks, bit [q] = qubit [q] — by the compiled gate,
-    dropping the (globally irrelevant) phase. Used to propagate an
-    injected error Pauli through the remainder of a Clifford circuit as
-    one row, O(1) per gate. *)
-val conjugate_masks : app -> xm:int -> zm:int -> int * int
+(** A Pauli frame: one Pauli as qubit-indexed bit masks (bit [q] =
+    qubit [q]) of its X and Z parts, phase dropped. *)
+type frame = { mutable xm : int; mutable zm : int }
+
+(** [conjugate_frame app f] conjugates the frame's Pauli by the compiled
+    gate in place, dropping the (globally irrelevant) phase. The map is
+    linear over GF(2): the frame of a product of Paulis is the [lxor] of
+    their frames, so one frame can carry every injected error through
+    the rest of a Clifford circuit, O(1) per gate. *)
+val conjugate_frame : app -> frame -> unit
 
 type pauli = X | Y | Z
 
@@ -100,11 +104,12 @@ val readout : t -> readout
 
 (** [flip_mask r ~xm] is the sign-flip pattern (one bit per frozen
     Z-constraint row) induced by conjugating the state with a Pauli
-    whose X support is the qubit-indexed mask [xm] — combine patterns
-    from successive errors with [lxor]. *)
+    whose X support is the qubit-indexed mask [xm]. It is linear in
+    [xm]: the pattern of a product of Paulis is the [lxor] of theirs. *)
 val flip_mask : readout -> xm:int -> int
 
-(** [readout_probabilities r ~flips] is the full 2^n probability vector
-    of the tableau with the given sign-flip pattern applied;
-    [~flips:0] reproduces [probabilities] of the frozen state. *)
-val readout_probabilities : readout -> flips:int -> float array
+(** [accumulate_readout r ~flips acc] adds the 2^n probability vector of
+    the tableau with the given sign-flip pattern applied into [acc]
+    (length 2^n), touching only the 2^s support entries; [~flips:0]
+    adds [probabilities] of the frozen state. *)
+val accumulate_readout : readout -> flips:int -> float array -> unit

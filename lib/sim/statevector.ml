@@ -23,11 +23,24 @@ let of_arrays ~re ~im =
 
 let copy t = { n = t.n; re = Array.copy t.re; im = Array.copy t.im }
 
+let blit ~src ~dst =
+  if src.n <> dst.n then invalid_arg "Statevector.blit: size mismatch";
+  Array.blit src.re 0 dst.re 0 (Array.length src.re);
+  Array.blit src.im 0 dst.im 0 (Array.length src.im)
+
 let amplitude t i = Mathkit.Cplx.make t.re.(i) t.im.(i)
 
 let probability t i = (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i))
 
 let probabilities t = Array.init (1 lsl t.n) (probability t)
+
+let accumulate_probabilities t acc =
+  if Array.length acc <> 1 lsl t.n then
+    invalid_arg "Statevector.accumulate_probabilities: length mismatch";
+  let re = t.re and im = t.im in
+  for i = 0 to (1 lsl t.n) - 1 do
+    acc.(i) <- acc.(i) +. ((re.(i) *. re.(i)) +. (im.(i) *. im.(i)))
+  done
 
 let norm2 t =
   let acc = ref 0.0 in

@@ -23,6 +23,10 @@ val n_qubits : t -> int
 (** [copy t] is an independent snapshot. *)
 val copy : t -> t
 
+(** [blit ~src ~dst] overwrites [dst]'s amplitudes with [src]'s; both
+    must have the same qubit count. *)
+val blit : src:t -> dst:t -> unit
+
 (** [amplitude t i] is the amplitude of basis state [i]. *)
 val amplitude : t -> int -> Mathkit.Cplx.t
 
@@ -31,6 +35,11 @@ val probability : t -> int -> float
 
 (** [probabilities t] is the full probability vector (length 2^n). *)
 val probabilities : t -> float array
+
+(** [accumulate_probabilities t acc] adds [probabilities t] into [acc]
+    (length 2^n) element by element, bit-identically, without building
+    the vector. *)
+val accumulate_probabilities : t -> float array -> unit
 
 (** [norm2 t] is the total probability (1 up to rounding). *)
 val norm2 : t -> float

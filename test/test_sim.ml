@@ -512,24 +512,23 @@ let test_stab_readout_sign_flips () =
           let k = match p with 0 -> G.X | 1 -> G.Y | _ -> G.Z in
           Sv.apply_one sv (Mat.one_q k) q)
       gates;
-    (* Sign-flip path: conjugate the Pauli mask through the tail. *)
-    let xm = ref (if p = 2 then 0 else 1 lsl q) in
-    let zm = ref (if p = 0 then 0 else 1 lsl q) in
-    List.iteri
-      (fun i app ->
-        if i > pos then begin
-          let x, z = Stab.conjugate_masks app ~xm:!xm ~zm:!zm in
-          xm := x;
-          zm := z
-        end)
-      apps;
-    let flips = Stab.flip_mask r ~xm:!xm in
+    (* Sign-flip path: conjugate the Pauli frame through the tail. *)
+    let frame =
+      { Stab.xm = (if p = 2 then 0 else 1 lsl q); zm = (if p = 0 then 0 else 1 lsl q) }
+    in
+    List.iteri (fun i app -> if i > pos then Stab.conjugate_frame app frame) apps;
+    let flips = Stab.flip_mask r ~xm:frame.xm in
+    let readout flips =
+      let acc = Array.make (1 lsl n) 0.0 in
+      Stab.accumulate_readout r ~flips acc;
+      acc
+    in
     Alcotest.(check (float 1e-9))
       "erred distribution" 0.0
-      (l1 (Stab.readout_probabilities r ~flips) (Sv.probabilities sv));
+      (l1 (readout flips) (Sv.probabilities sv));
     Alcotest.(check (float 1e-12))
       "clean distribution" 0.0
-      (l1 (Stab.readout_probabilities r ~flips:0) (Stab.probabilities t))
+      (l1 (readout 0) (Stab.probabilities t))
   done
 
 let test_fusion_matches_unfused () =
@@ -566,11 +565,11 @@ let test_fusion_matches_unfused () =
                | G.Two (k, _, _) -> Mat.two_q k
                | _ -> assert false
              in
-             { Fusion.idx = i; gate = g; matrix = m })
+             Fusion.member ~idx:i g m)
            gates)
     in
     let fused = Sv.init n in
-    Fusion.run_clean fused (Fusion.plan ~n members);
+    Array.iter (Fusion.apply_step fused) (Fusion.steps (Fusion.plan ~n members));
     let plain = Sv.run (circuit n gates) in
     for i = 0 to (1 lsl n) - 1 do
       if
