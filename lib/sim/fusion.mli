@@ -28,7 +28,10 @@ type member = private {
   idx : int;
   gate : Ir.Gate.t;
   matrix : Mathkit.Matrix.t;
-  solo : step;  (** the gate alone, on the cheapest kernel for its kind *)
+  solo : step;
+      (** the gate alone as a step on the cheapest kernel for its kind
+          (diagonal / permutation / generic), picked once here — the
+          unfused fallback for steps containing erred gates *)
 }
 
 type t
@@ -52,8 +55,3 @@ val step_members : step -> member array
 
 (** Apply a fused step to the state. *)
 val apply_step : Statevector.t -> step -> unit
-
-(** Apply one original gate through the cheapest kernel for its kind
-    (diagonal / permutation / generic), picked when the member was made —
-    the unfused fallback for steps containing erred gates. *)
-val apply_member : Statevector.t -> member -> unit

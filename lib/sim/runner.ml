@@ -366,7 +366,7 @@ let simulate ?(config = Config.default) compiled spec =
       if !erred then
         for j = 0 to Array.length ms - 1 do
           let m = ms.(j) in
-          Fusion.apply_member state m;
+          Fusion.apply_step state m.solo;
           if flags.(m.idx) then inject_sv state rng m.gate
         done
       else Fusion.apply_step state st
