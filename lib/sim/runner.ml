@@ -424,15 +424,12 @@ let simulate ?(config = Config.default) compiled spec =
         let start = start_state () in
         let checkpoints = Array.make ((m + stride - 1) / stride) start in
         let state = Statevector.copy start in
+        let step_of = Array.make n_gates (-1) in
         Array.iteri
           (fun s st ->
             if s > 0 && s mod stride = 0 then
               checkpoints.(s / stride) <- Statevector.copy state;
-            Fusion.apply_step state st)
-          steps;
-        let step_of = Array.make n_gates (-1) in
-        Array.iteri
-          (fun s st ->
+            Fusion.apply_step state st;
             Array.iter
               (fun (mb : Fusion.member) -> step_of.(mb.idx) <- s)
               (Fusion.step_members st))
