@@ -168,10 +168,9 @@ let sim_cells =
            (fun (p : Bench_kit.Programs.t) ->
              if Device.Machine.fits m p.Bench_kit.Programs.circuit then
                Some
-                 ( Triq.Pipeline.to_compiled
-                     (Triq.Pipeline.compile_level m
-                        p.Bench_kit.Programs.circuit
-                        ~level:Triq.Pipeline.OneQOptCN),
+                 ( Triq.Pipeline.compile_level m
+                     p.Bench_kit.Programs.circuit
+                     ~level:Triq.Pipeline.OneQOptCN,
                    p.Bench_kit.Programs.spec )
              else None)
            Bench_kit.Programs.all)
@@ -188,9 +187,8 @@ let sim_sweep ~config () =
 let sim_bv8 =
   lazy
     (let p = Bench_kit.Programs.bv 8 in
-     ( Triq.Pipeline.to_compiled
-         (Triq.Pipeline.compile_level Device.Machines.ibmq16
-            p.Bench_kit.Programs.circuit ~level:Triq.Pipeline.OneQOptCN),
+     ( Triq.Pipeline.compile_level Device.Machines.ibmq16
+         p.Bench_kit.Programs.circuit ~level:Triq.Pipeline.OneQOptCN,
        p.Bench_kit.Programs.spec ))
 
 let sim_timing_tests =
@@ -255,10 +253,9 @@ let wall f =
 let seq_vs_par ?(trajectories = 300) () =
   let p = Bench_kit.Programs.bv 6 in
   let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_schedule Device.Machines.ibmq14
-         p.Bench_kit.Programs.circuit
-         (Triq.Pass.Schedule.of_level Triq.Pipeline.OneQOptCN))
+    Triq.Pipeline.compile_schedule Device.Machines.ibmq14
+      p.Bench_kit.Programs.circuit
+      (Triq.Pass.Schedule.of_level Triq.Pipeline.OneQOptCN)
   in
   let spec = p.Bench_kit.Programs.spec in
   let run pool = Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories ~pool ()) compiled spec in
@@ -397,7 +394,7 @@ let per_pass_breakdown ?(reps = 20) () =
       (fun (name, s) ->
         if not (Hashtbl.mem totals name) then order := name :: !order;
         Hashtbl.replace totals name (s +. (try Hashtbl.find totals name with Not_found -> 0.0)))
-      r.Triq.Pipeline.pass_times_s
+      r.Triq.Compiled.pass_times_s
   done;
   List.rev_map
     (fun name -> (name, Hashtbl.find totals name /. float_of_int reps))

@@ -208,28 +208,19 @@ let with_trace (trace, fmt_name) k =
          Printf.eprintf "triqc: cannot write trace: %s\n" msg;
          if code = 0 then 1 else code))
 
-let print_stats (r : Triq.Pipeline.t) =
+let print_stats (r : Triq.Compiled.t) =
   Printf.eprintf
     "; %s on %s (day %d): 2Q=%d, pulses=%d, swaps=%d, ESP=%.4f, compile=%.3fs\n"
-    (Triq.Pipeline.level_name r.Triq.Pipeline.level)
-    r.Triq.Pipeline.machine.Device.Machine.name r.Triq.Pipeline.day
-    r.Triq.Pipeline.two_q_count r.Triq.Pipeline.pulse_count
-    r.Triq.Pipeline.swap_count r.Triq.Pipeline.esp r.Triq.Pipeline.compile_time_s
+    r.Triq.Compiled.compiler r.Triq.Compiled.machine.Device.Machine.name r.Triq.Compiled.day
+    r.Triq.Compiled.two_q_count r.Triq.Compiled.pulse_count
+    r.Triq.Compiled.swap_count r.Triq.Compiled.esp r.Triq.Compiled.compile_time_s
 
 let compile_common file machine_name level_name =
   let ( let* ) = Result.bind in
   let* machine = find_machine machine_name in
   let* level = find_level level_name in
   let* program = load_program file in
-  let* () =
-    if Device.Machine.fits machine program.Scaffold.Lower.circuit then Ok ()
-    else
-      Error
-        (Printf.sprintf "program needs %d qubits; %s has %d"
-           program.Scaffold.Lower.circuit.Ir.Circuit.n_qubits
-           machine.Device.Machine.name
-           (Device.Machine.n_qubits machine))
-  in
+  let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
   Ok (machine, level, program)
 
 let compile_cmd =
@@ -315,7 +306,7 @@ let compile_cmd =
       1
     | Ok compiled ->
       print_stats compiled;
-      print_string (Backend.Emit.executable (Triq.Pipeline.to_compiled compiled));
+      print_string (Backend.Emit.executable compiled);
       0
   in
   let doc = "Compile a Scaffold program to a vendor executable." in
@@ -412,7 +403,7 @@ let simulate_cmd =
             ~config:
               (Sim.Runner.Config.make ~trials ~trajectories ~backend
                  ~fusion:(not no_fusion) ())
-            (Triq.Pipeline.to_compiled compiled) spec
+            compiled spec
         in
         Printf.printf "success rate: %.4f (%s)\n" outcome.Sim.Runner.success_rate
           (if outcome.Sim.Runner.dominant_correct then "correct answer dominates"
@@ -440,6 +431,7 @@ let sweep_cmd =
     let result =
       let* machine = find_machine machine_name in
       let* program = load_program file in
+      let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
       Ok (machine, program)
     in
     match result with
@@ -447,44 +439,36 @@ let sweep_cmd =
       Printf.eprintf "triqc: %s\n" msg;
       1
     | Ok (machine, program) ->
-      if not (Device.Machine.fits machine program.Scaffold.Lower.circuit) then begin
-        Printf.eprintf "triqc: program does not fit %s\n" machine.Device.Machine.name;
-        1
-      end
-      else begin
-        Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps"
-          "ESP" "success";
-        let spec =
-          match
-            Sim.Runner.ideal_distribution
-              (Ir.Circuit.body program.Scaffold.Lower.circuit)
-              ~measured:program.Scaffold.Lower.measured
-          with
-          | (bits, p) :: _ when p > 0.99 ->
-            Some (Ir.Spec.deterministic program.Scaffold.Lower.measured bits)
-          | _ -> None
-        in
-        List.iter
-          (fun level ->
-            let compiled =
-              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-                program.Scaffold.Lower.circuit
-            in
-            let success =
-              match spec with
-              | None -> "n/a"
-              | Some spec ->
-                Printf.sprintf "%.3f"
-                  (Sim.Runner.simulate (Triq.Pipeline.to_compiled compiled) spec)
-                    .Sim.Runner.success_rate
-            in
-            Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n"
-              (Triq.Pipeline.level_name level)
-              compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.pulse_count
-              compiled.Triq.Pipeline.swap_count compiled.Triq.Pipeline.esp success)
-          Triq.Pipeline.all_levels;
-        0
-      end
+      Printf.printf "%-14s %6s %8s %6s %8s %10s\n" "Level" "2Q" "pulses" "swaps"
+        "ESP" "success";
+      let spec =
+        match
+          Sim.Runner.ideal_distribution
+            (Ir.Circuit.body program.Scaffold.Lower.circuit)
+            ~measured:program.Scaffold.Lower.measured
+        with
+        | (bits, p) :: _ when p > 0.99 ->
+          Some (Ir.Spec.deterministic program.Scaffold.Lower.measured bits)
+        | _ -> None
+      in
+      List.iter
+        (fun level ->
+          let compiled =
+            compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
+              program.Scaffold.Lower.circuit
+          in
+          let success =
+            match spec with
+            | None -> "n/a"
+            | Some spec ->
+              Printf.sprintf "%.3f" (Sim.Runner.simulate compiled spec).Sim.Runner.success_rate
+          in
+          Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n"
+            (Triq.Pipeline.level_name level)
+            compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.pulse_count
+            compiled.Triq.Compiled.swap_count compiled.Triq.Compiled.esp success)
+        Triq.Pipeline.all_levels;
+      0
   in
   let doc = "Compare all four optimization levels on one program (Table 1 sweep)." in
   Cmd.v
@@ -506,7 +490,7 @@ let draw_cmd =
           compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
             program.Scaffold.Lower.circuit
         in
-        print_string (Ir.Draw.render compiled.Triq.Pipeline.hardware)
+        print_string (Ir.Draw.render compiled.Triq.Compiled.hardware)
       end
       else begin
         let labels =
@@ -531,6 +515,7 @@ let verify_cmd =
     let result =
       let* machine = find_machine machine_name in
       let* program = load_program file in
+      let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
       Ok (machine, program)
     in
     match result with
@@ -538,11 +523,7 @@ let verify_cmd =
       Printf.eprintf "triqc: %s\n" msg;
       1
     | Ok (machine, program) ->
-      if not (Device.Machine.fits machine program.Scaffold.Lower.circuit) then begin
-        Printf.eprintf "triqc: program does not fit %s\n" machine.Device.Machine.name;
-        1
-      end
-      else if program.Scaffold.Lower.measured = [] then begin
+      if program.Scaffold.Lower.measured = [] then begin
         Printf.eprintf "triqc: program has no measure statements to verify against\n";
         1
       end
@@ -551,9 +532,8 @@ let verify_cmd =
         List.iter
           (fun level ->
             let compiled =
-              Triq.Pipeline.to_compiled
-                (compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
-                   program.Scaffold.Lower.circuit)
+              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine level
+                program.Scaffold.Lower.circuit
             in
             let result =
               Sim.Verify.check ~program:program.Scaffold.Lower.circuit
@@ -648,7 +628,7 @@ let pulse_cmd =
           program.Scaffold.Lower.circuit
       in
       print_stats compiled;
-      let schedule = Pulse.Lower.of_compiled (Triq.Pipeline.to_compiled compiled) in
+      let schedule = Pulse.Lower.of_compiled compiled in
       Printf.eprintf "; schedule: %d pulses, %d frame changes, %.1f us\n"
         (Pulse.Schedule.play_count schedule)
         (Pulse.Schedule.frame_change_count schedule)
@@ -778,15 +758,7 @@ let lint_cmd =
           let* machine = find_machine spec in
           let* level = find_level level_name in
           let* program = load_program file in
-          let* () =
-            if Device.Machine.fits machine program.Scaffold.Lower.circuit then Ok ()
-            else
-              Error
-                (Printf.sprintf "program needs %d qubits; %s has %d"
-                   program.Scaffold.Lower.circuit.Ir.Circuit.n_qubits
-                   machine.Device.Machine.name
-                   (Device.Machine.n_qubits machine))
-          in
+          let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
           let levels = if all_levels then Triq.Pipeline.all_levels else [ level ] in
           let validate =
             if deep then Triq.Pass.Config.Deep else Triq.Pass.Config.Shape
@@ -799,7 +771,7 @@ let lint_cmd =
                      machine level program.Scaffold.Lower.circuit
                  with
                  | compiled ->
-                   Triq.Validate.check_pipeline
+                   Triq.Validate.check_compiled
                      ~measured:program.Scaffold.Lower.measured compiled
                  | exception Analysis.Diag.Violation (_, diags) -> diags)
                levels)
@@ -888,14 +860,7 @@ let check_cmd =
         | Some spec ->
           let* machine = find_machine spec in
           let* level = find_level level_name in
-          let* () =
-            if Device.Machine.fits machine circuit then Ok ()
-            else
-              Error
-                (Printf.sprintf "program needs %d qubits; %s has %d"
-                   circuit.Ir.Circuit.n_qubits machine.Device.Machine.name
-                   (Device.Machine.n_qubits machine))
-          in
+          let* () = Device.Machine.require_fits machine circuit in
           let levels = if all_levels then Triq.Pipeline.all_levels else [ level ] in
           let config = Triq.Pass.Config.make ~day ~validate:Triq.Pass.Config.Deep () in
           Ok
@@ -904,7 +869,7 @@ let check_cmd =
                  match compile_at ~config machine level circuit with
                  | compiled ->
                    ( Triq.Pipeline.level_name level,
-                     List.length compiled.Triq.Pipeline.pass_times_s,
+                     List.length compiled.Triq.Compiled.pass_times_s,
                      [] )
                  | exception Analysis.Diag.Violation (pass, diags) ->
                    (Triq.Pipeline.level_name level, 0, List.map (fun d -> (pass, d)) diags))
@@ -1027,7 +992,7 @@ let metrics_cmd =
           ignore
             (Sim.Runner.simulate
                ~config:(Sim.Runner.Config.make ~trajectories ())
-               (Triq.Pipeline.to_compiled compiled)
+               compiled
                spec);
           Ok ()
         end
@@ -1094,11 +1059,11 @@ let bench_cmd =
               in
               let outcome =
                 Sim.Runner.simulate
-                  (Triq.Pipeline.to_compiled compiled)
+                  compiled
                   p.Bench_kit.Programs.spec
               in
               Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" p.Bench_kit.Programs.name
-                compiled.Triq.Pipeline.two_q_count compiled.Triq.Pipeline.esp
+                compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
                 outcome.Sim.Runner.success_rate
                 (if outcome.Sim.Runner.dominant_correct then "yes" else "NO")
             end

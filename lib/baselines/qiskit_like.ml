@@ -63,7 +63,7 @@ let compile ?(day = 0) ?(seed = 1) machine circuit =
   let state, front_times = Common.start machine ~day circuit in
   let flat = state.Triq.Pass.circuit in
   let placement =
-    Triq.Mapper.trivial ~n_program:flat.Ir.Circuit.n_qubits
+    Triq.Placement.trivial ~n_program:flat.Ir.Circuit.n_qubits
       ~n_hardware:(Machine.n_qubits machine)
   in
   let rng = Rng.create seed in

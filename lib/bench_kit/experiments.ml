@@ -98,7 +98,7 @@ let try_success ?config ?day ?trajectories machine level p =
   Option.map
     (fun compiled ->
       let outcome =
-        Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled) p.Programs.spec
+        Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec
       in
       outcome.Sim.Runner.success_rate)
     (try_compile ?config ?day machine level p)
@@ -244,7 +244,7 @@ let fig8_data () =
   machine_grid (fig8_machines ())
     ~cols:[ ("TriQ-N", Pipeline.N); ("TriQ-1QOpt", Pipeline.OneQOpt) ]
     ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Pipeline.pulse_count) (try_compile machine level p))
+      Option.map (fun r -> r.Triq.Compiled.pulse_count) (try_compile machine level p))
 
 let row_table (to_string : 'a option -> string) rows =
   match rows with
@@ -314,7 +314,7 @@ let fig10_counts () =
     [ Machines.ibmq14; Machines.agave ]
     ~cols:[ ("TriQ-1QOpt", Pipeline.OneQOpt); ("TriQ-1QOptC", Pipeline.OneQOptC) ]
     ~cell:(fun machine level p ->
-      Option.map (fun r -> r.Pipeline.two_q_count) (try_compile machine level p))
+      Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
 
 let fig10_success ?trajectories () =
   let machine = Machines.ibmq14 in
@@ -371,7 +371,7 @@ let fig11_counts () =
           (fun c -> c.Triq.Compiled.two_q_count)
           (compile_with_baseline machine `Qiskit p)
       | `Level level ->
-        Option.map (fun r -> r.Pipeline.two_q_count) (try_compile machine level p))
+        Option.map (fun r -> r.Triq.Compiled.two_q_count) (try_compile machine level p))
 
 let fig11_ibm_success ?trajectories () =
   let machine = Machines.ibmq14 in
@@ -472,8 +472,8 @@ let scaling_data ?(node_budget = 20_000) ?(depth = 16) () =
       let compiled = compile_level ~config machine Pipeline.OneQOptCN circuit in
       ( Printf.sprintf "%dx%d d%d" rows cols depth,
         n,
-        compiled.Pipeline.two_q_count,
-        compiled.Pipeline.compile_time_s ))
+        compiled.Triq.Compiled.two_q_count,
+        compiled.Triq.Compiled.compile_time_s ))
     (scaling_grids depth)
 
 let print_scaling ?node_budget ?depth () =
@@ -500,7 +500,7 @@ let related_data () =
       in
       let triq =
         Option.map
-          (fun r -> r.Pipeline.two_q_count)
+          (fun r -> r.Triq.Compiled.two_q_count)
           (try_compile machine Pipeline.OneQOptC p)
       in
       {
@@ -535,32 +535,24 @@ let run_all ?trajectories () =
 
 (* ---------- Extensions beyond the paper's figures ---------- *)
 
-(* Mapper-objective ablation (Section 4.3's scalability argument): the
+(* Mapping-engine ablation (Section 4.3's scalability argument): the
    max-min objective prunes far earlier than the whole-graph product
    objective, at equal or better mapped quality. Runs the layout engines
-   directly (the rows keep the legacy [Mapper.result] shape). *)
+   directly. *)
 let ablation_mapper_data ?(node_budget = 200_000) () =
   let machine = Machines.ibmq16 in
   let calibration = Machine.calibration machine ~day:0 in
   let reliability = Triq.Reliability.compute ~noise_aware:true machine calibration in
-  let legacy (r : Layout.Report.t) =
-    {
-      Triq.Mapper.placement = r.Layout.Report.placement;
-      objective = r.Layout.Report.objective;
-      nodes_explored = Layout.Report.legacy_nodes r;
-      optimal = r.Layout.Report.proven_optimal;
-    }
-  in
   pfilter_map
     (fun (p : Programs.t) ->
       if not (Machine.fits machine p.Programs.circuit) then None
       else begin
         let flat = Ir.Decompose.flatten p.Programs.circuit in
         let problem objective = Triq.Placement.problem ~objective reliability flat in
-        let run objective = legacy (Layout.Bb.solve ~node_budget (problem objective)) in
+        let run objective = Layout.Bb.solve ~node_budget (problem objective) in
         let max_min = run Layout.Problem.Max_min in
         let product = run Layout.Problem.Product in
-        let smt = legacy (Layout.Smt_search.solve (problem Layout.Problem.Max_min)) in
+        let smt = Layout.Smt_search.solve (problem Layout.Problem.Max_min) in
         Some (p.Programs.name, max_min, product, smt)
       end)
     (benches ())
@@ -568,17 +560,10 @@ let ablation_mapper_data ?(node_budget = 200_000) () =
 let print_ablation_mapper () =
   let rows =
     List.map
-      (fun (bench, (mm : Triq.Mapper.result), (pr : Triq.Mapper.result),
-            (smt : Triq.Mapper.result)) ->
-        [
-          bench;
-          string_of_int mm.Triq.Mapper.nodes_explored;
-          Table.f3 mm.Triq.Mapper.objective;
-          string_of_int pr.Triq.Mapper.nodes_explored;
-          Table.f3 pr.Triq.Mapper.objective;
-          string_of_int smt.Triq.Mapper.nodes_explored;
-          Table.f3 smt.Triq.Mapper.objective;
-        ])
+      (fun (bench, mm, pr, smt) ->
+        let work (r : Layout.Report.t) = string_of_int (Layout.Report.work_total r.work) in
+        let objective (r : Layout.Report.t) = Table.f3 r.objective in
+        [ bench; work mm; objective mm; work pr; objective pr; work smt; objective smt ])
       (ablation_mapper_data ())
   in
   Table.print
@@ -598,7 +583,7 @@ let ablation_peephole_data () =
       else begin
         let two_q config =
           (compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit)
-            .Pipeline.two_q_count
+            .Triq.Compiled.two_q_count
         in
         Some
           ( p.Programs.name,
@@ -697,8 +682,7 @@ let coherence_data () =
   pmap
     (fun machine ->
       let compiled =
-        Pipeline.to_compiled
-          (compile_level machine Pipeline.OneQOptCN p.Programs.circuit)
+        compile_level machine Pipeline.OneQOptCN p.Programs.circuit
       in
       let schedule = Pulse.Lower.of_compiled compiled in
       let duration_us = Pulse.Schedule.duration_ns schedule /. 1000.0 in
@@ -831,8 +815,7 @@ let staleness_data ?trajectories ?(days = 8) () =
   let machine = Machines.ibmq14 in
   let p = Programs.bv 6 in
   let stale_exe =
-    Pipeline.to_compiled
-      (compile_level ~day:0 machine Pipeline.OneQOptCN p.Programs.circuit)
+    compile_level ~day:0 machine Pipeline.OneQOptCN p.Programs.circuit
   in
   pmap_range days (fun day ->
       let stale =
@@ -841,8 +824,7 @@ let staleness_data ?trajectories ?(days = 8) () =
       in
       let fresh =
         (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ())
-           (Pipeline.to_compiled
-              (compile_level ~day machine Pipeline.OneQOptCN p.Programs.circuit))
+           (compile_level ~day machine Pipeline.OneQOptCN p.Programs.circuit)
            p.Programs.spec)
           .Sim.Runner.success_rate
       in
@@ -877,12 +859,12 @@ let esp_correlation_data ?trajectories () =
       Option.map
         (fun compiled ->
           let success =
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                p.Programs.spec)
               .Sim.Runner.success_rate
           in
           ( Printf.sprintf "%s/%s" machine.Machine.name p.Programs.name,
-            compiled.Pipeline.esp,
+            compiled.Triq.Compiled.esp,
             success ))
         (try_compile machine Pipeline.OneQOptCN p))
     (List.concat_map
@@ -914,8 +896,8 @@ let ablation_lookahead_data ?trajectories () =
           let compiled =
             compile_level ~config machine Pipeline.OneQOptCN p.Programs.circuit
           in
-          ( compiled.Pipeline.two_q_count,
-            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+          ( compiled.Triq.Compiled.two_q_count,
+            (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                p.Programs.spec)
               .Sim.Runner.success_rate )
         in
@@ -997,15 +979,15 @@ let properties_rows machine =
     (fun (p : Programs.t) ->
       Option.map
         (fun r ->
-          let dag = Ir.Dag.of_circuit r.Pipeline.hardware in
+          let dag = Ir.Dag.of_circuit r.Triq.Compiled.hardware in
           [
             p.Programs.name;
-            string_of_int r.Pipeline.two_q_count;
-            string_of_int r.Pipeline.pulse_count;
-            string_of_int r.Pipeline.swap_count;
+            string_of_int r.Triq.Compiled.two_q_count;
+            string_of_int r.Triq.Compiled.pulse_count;
+            string_of_int r.Triq.Compiled.swap_count;
             string_of_int (Ir.Dag.depth dag);
-            Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Pipeline.hardware));
-            Table.f3 r.Pipeline.esp;
+            Printf.sprintf "%.2f" (Machine.duration_us machine (Ir.Circuit.body r.Triq.Compiled.hardware));
+            Table.f3 r.Triq.Compiled.esp;
           ])
         (try_compile machine Pipeline.OneQOptCN p))
     (benches ())
@@ -1100,8 +1082,8 @@ let parametric_data ?trajectories () =
               let compiled =
                 compile_level machine Pipeline.OneQOptCN p.Programs.circuit
               in
-              ( compiled.Pipeline.two_q_count,
-                (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) (Pipeline.to_compiled compiled)
+              ( compiled.Triq.Compiled.two_q_count,
+                (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled
                    p.Programs.spec)
                   .Sim.Runner.success_rate )
             in
@@ -1139,8 +1121,7 @@ let noise_model_data ?trajectories () =
       if not (Machine.fits machine p.Programs.circuit) then None
       else begin
         let compiled =
-          Pipeline.to_compiled
-            (compile_level machine Pipeline.OneQOptCN p.Programs.circuit)
+          compile_level machine Pipeline.OneQOptCN p.Programs.circuit
         in
         let folded =
           (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ?trajectories ()) compiled p.Programs.spec).Sim.Runner.success_rate
@@ -1180,7 +1161,7 @@ let ghz_fidelity ?trajectories machine n =
     let run gates =
       let circuit = Ir.Circuit.measure_all (Ir.Circuit.create n gates) measured in
       let compiled =
-        Pipeline.to_compiled (compile_level machine Pipeline.OneQOptCN circuit)
+        compile_level machine Pipeline.OneQOptCN circuit
       in
       let spec =
         Ir.Spec.distribution measured

@@ -124,15 +124,15 @@ val run_all : ?trajectories:int -> unit -> unit
 
 (* -- Extensions beyond the paper's figures (see EXPERIMENTS.md) -- *)
 
-(** Mapper-engine ablation on IBMQ16 (Section 4.3): branch-and-bound with
+(** Mapping-engine ablation on IBMQ16 (Section 4.3): branch-and-bound with
     TriQ's max-min objective, branch-and-bound with prior work's product
     objective, and the SAT-encoded threshold search
-    ({!Triq.Mapper_smt}) — work done and achieved minimum reliability for
-    each. *)
+    ({!Layout.Smt_search}) — the layout report of each, whose work total
+    and objective the table prints. *)
 val ablation_mapper_data :
   ?node_budget:int ->
   unit ->
-  (string * Triq.Mapper.result * Triq.Mapper.result * Triq.Mapper.result) list
+  (string * Layout.Report.t * Layout.Report.t * Layout.Report.t) list
 
 val print_ablation_mapper : unit -> unit
 

@@ -15,6 +15,7 @@ type t = {
   pulse_count : int;
   flipped_cnots : int;
   esp : float;
+  layout : Layout.Report.t option;
   compile_time_s : float;
   pass_times_s : (string * float) list;
 }
@@ -50,6 +51,7 @@ let make ?(pass_times_s = []) ~machine ~compiler ~day ~hardware ~initial_placeme
     pulse_count = Gateset.circuit_pulse_count machine.Machine.basis hardware;
     flipped_cnots;
     esp = estimated_success_probability machine calibration hardware;
+    layout = None;
     compile_time_s;
     pass_times_s;
   }

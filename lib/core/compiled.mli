@@ -17,6 +17,10 @@ type t = {
   pulse_count : int;  (** physical X/Y pulses (Figure 8's metric) *)
   flipped_cnots : int;
   esp : float;  (** estimated success probability under the calibration *)
+  layout : Layout.Report.t option;
+      (** the mapping pass's structured layout report — strategy, work
+          counters, optimality and cache status ([None] for the identity
+          mapping of levels N/1QOpt and for executables built by {!make}) *)
   compile_time_s : float;
   pass_times_s : (string * float) list;
       (** per-pass wall time keyed by {!Pass.t} canonical names; [[]] when
@@ -27,7 +31,8 @@ type t = {
     statistics (2Q count, pulse count, ESP) from the hardware circuit and
     the machine's day-[day] calibration. The hardware circuit must be
     entirely software-visible. [pass_times_s] (default [[]]) records the
-    per-pass wall clock when the producer ran through the pass driver. *)
+    per-pass wall clock when the producer ran through the pass driver;
+    [layout] is [None]. *)
 val make :
   ?pass_times_s:(string * float) list ->
   machine:Device.Machine.t ->

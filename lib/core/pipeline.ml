@@ -8,9 +8,10 @@ let level_name = Pass.level_name
 let level_of_string = Pass.level_of_string
 let level_strings = Pass.level_strings
 
-type t = {
+(* Re-exported only so perfbench's [r.Triq.Pipeline.layout] still resolves. *)
+type t = Compiled.t = {
   machine : Machine.t;
-  level : level;
+  compiler : string;
   day : int;
   hardware : Ir.Circuit.t;
   initial_placement : int array;
@@ -26,13 +27,13 @@ type t = {
   pass_times_s : (string * float) list;
 }
 
-let estimated_success_probability = Compiled.estimated_success_probability
-
+(* Built directly rather than through [Compiled.make], which would
+   regenerate the day's calibration and re-check gate visibility. *)
 let of_outcome ~level (o : Pass.outcome) =
   let s = o.Pass.state in
   {
     machine = s.Pass.machine;
-    level;
+    compiler = level_name level;
     day = s.Pass.config.Pass.Config.day;
     hardware = s.Pass.circuit;
     initial_placement = s.Pass.initial_placement;
@@ -44,7 +45,8 @@ let of_outcome ~level (o : Pass.outcome) =
       Gateset.circuit_pulse_count s.Pass.machine.Machine.basis s.Pass.circuit;
     flipped_cnots = s.Pass.flipped_cnots;
     esp =
-      estimated_success_probability s.Pass.machine s.Pass.calibration s.Pass.circuit;
+      Compiled.estimated_success_probability s.Pass.machine s.Pass.calibration
+        s.Pass.circuit;
     layout = s.Pass.layout;
     compile_time_s = o.Pass.compile_time_s;
     pass_times_s = o.Pass.pass_times_s;
@@ -58,33 +60,5 @@ let compile_schedule ?(config = Pass.Config.default) machine circuit
 let compile_level ?(config = Pass.Config.default) machine circuit ~level =
   compile_schedule ~config machine circuit (Pass.Schedule.of_level ~config level)
 
-let compile ?(day = 0) ?node_budget ?(peephole = false) ?(router = `Default)
-    ?(validate = false) machine circuit ~level =
-  let router =
-    match router with
-    | `Default -> Pass.Config.Default
-    | `Lookahead -> Pass.Config.Lookahead
-  in
-  let validate = if validate then Pass.Config.Shape else Pass.Config.Off in
-  let config =
-    Pass.Config.make ~day ?node_budget ~router ~peephole ~validate ()
-  in
-  compile_level ~config machine circuit ~level
-
-let to_compiled t =
-  {
-    Compiled.machine = t.machine;
-    compiler = level_name t.level;
-    day = t.day;
-    hardware = t.hardware;
-    initial_placement = t.initial_placement;
-    final_placement = t.final_placement;
-    readout_map = t.readout_map;
-    swap_count = t.swap_count;
-    two_q_count = t.two_q_count;
-    pulse_count = t.pulse_count;
-    flipped_cnots = t.flipped_cnots;
-    esp = t.esp;
-    compile_time_s = t.compile_time_s;
-    pass_times_s = t.pass_times_s;
-  }
+(* Kept only because perfbench calls it. *)
+let to_compiled t = t

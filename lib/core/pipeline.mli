@@ -14,10 +14,10 @@
     directed machines, and emit only software-visible gates.
 
     The toolflow itself is implemented as first-class passes in {!Pass};
-    this module is the stable entry point: {!compile_level} runs a
-    level's named schedule under a {!Pass.Config.t},
-    {!compile_schedule} runs any {!Pass.Schedule.t}. The optional-arg
-    {!compile} wrapper is deprecated in favour of these two. *)
+    this module is the entry point: {!compile_level} runs a level's
+    named schedule under a {!Pass.Config.t}, {!compile_schedule} runs any
+    {!Pass.Schedule.t}. Both return the executable as a {!Compiled.t}
+    whose [compiler] is the level's display name. *)
 
 type level = Pass.level = N | OneQOpt | OneQOptC | OneQOptCN
 
@@ -31,29 +31,25 @@ val level_of_string : string -> level option
 (** The accepted level spellings, for error messages. *)
 val level_strings : string list
 
-(** A compiled executable plus compilation metadata. *)
-type t = {
+(** The compiled executable: {!Compiled.t}, re-exported so that the
+    labels also resolve through [Pipeline]. Kept only for perfbench,
+    which reads [r.Triq.Pipeline.layout]. *)
+type t = Compiled.t = {
   machine : Device.Machine.t;
-  level : level;
-  day : int;  (** calibration day compiled against *)
-  hardware : Ir.Circuit.t;  (** software-visible gates on hardware qubits *)
+  compiler : string;  (** {!level_name} of the compiled level *)
+  day : int;
+  hardware : Ir.Circuit.t;
   initial_placement : int array;
   final_placement : int array;
   readout_map : (int * int) list;
-      (** measured program qubit -> hardware qubit holding it at readout *)
   swap_count : int;
-  two_q_count : int;  (** hardware 2Q operations after all expansion *)
-  pulse_count : int;  (** physical X/Y pulses (Figure 8's metric) *)
-  flipped_cnots : int;  (** CNOTs reoriented for directed couplings *)
-  esp : float;  (** estimated success probability under the calibration *)
+  two_q_count : int;
+  pulse_count : int;
+  flipped_cnots : int;
+  esp : float;
   layout : Layout.Report.t option;
-      (** the mapping pass's structured layout report — strategy, work
-          counters, optimality and cache status ([None] for the identity
-          mapping of levels N/1QOpt) *)
   compile_time_s : float;
   pass_times_s : (string * float) list;
-      (** per-pass wall time keyed by {!Pass.t} canonical names, in
-          schedule order (Section 6.5's compile-time attribution) *)
 }
 
 (** [compile_level ?config machine circuit ~level] runs the level's
@@ -66,41 +62,15 @@ type t = {
     Raises [Invalid_argument] if the program has more qubits than the
     machine. *)
 val compile_level :
-  ?config:Pass.Config.t -> Device.Machine.t -> Ir.Circuit.t -> level:level -> t
-
-(** Deprecated optional-argument spelling of {!compile_level}: each
-    optional argument populates the corresponding {!Pass.Config.t}
-    field ([router] maps [`Default]/[`Lookahead] onto
-    {!Pass.Config.router}). Behaviour is identical; new code should
-    build a [Config.t] (one value to thread through helpers and record
-    in reports) instead of growing optional-argument lists. *)
-val compile :
-  ?day:int ->
-  ?node_budget:int ->
-  ?peephole:bool ->
-  ?router:[ `Default | `Lookahead ] ->
-  ?validate:bool ->
-  Device.Machine.t ->
-  Ir.Circuit.t ->
-  level:level ->
-  t
-[@@deprecated "use Pipeline.compile_level ~config (or Pass.Schedule + compile_schedule)"]
+  ?config:Pass.Config.t -> Device.Machine.t -> Ir.Circuit.t -> level:level -> Compiled.t
 
 (** [compile_schedule ?config machine circuit schedule] runs an arbitrary
     pass schedule (e.g. one edited with {!Pass.Schedule.disable} or built
     by {!Pass.Schedule.make}) under [config] (default
-    {!Pass.Config.default}) and packages the final pass state as a
-    result. *)
+    {!Pass.Config.default}) and packages the final pass state as an
+    executable. *)
 val compile_schedule :
-  ?config:Pass.Config.t -> Device.Machine.t -> Ir.Circuit.t -> Pass.Schedule.t -> t
+  ?config:Pass.Config.t -> Device.Machine.t -> Ir.Circuit.t -> Pass.Schedule.t -> Compiled.t
 
-(** [to_compiled t] is the generic executable view shared with the
-    baseline compilers and consumed by the simulator runner. *)
+(** [to_compiled t] is [t]. Kept only because perfbench calls it. *)
 val to_compiled : t -> Compiled.t
-
-(** [estimated_success_probability machine calibration c] multiplies the
-    per-gate success probabilities of a hardware-level, software-visible
-    circuit: 2Q gates and readout use calibrated errors, 1Q pulses use the
-    qubit's 1Q error, virtual-Z gates are free. *)
-val estimated_success_probability :
-  Device.Machine.t -> Device.Calibration.t -> Ir.Circuit.t -> float

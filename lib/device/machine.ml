@@ -19,6 +19,13 @@ let calibration m ~day = Calibration.generate ~seed:m.seed ~day m.topology m.pro
 
 let fits m (c : Ir.Circuit.t) = c.Ir.Circuit.n_qubits <= n_qubits m
 
+let require_fits m (c : Ir.Circuit.t) =
+  if fits m c then Ok ()
+  else
+    Error
+      (Printf.sprintf "program needs %d qubits; %s has %d" c.Ir.Circuit.n_qubits m.name
+         (n_qubits m))
+
 let duration_us m (c : Ir.Circuit.t) =
   (* Critical path: per-qubit clocks advanced by each gate's duration. *)
   let clocks = Array.make (max c.Ir.Circuit.n_qubits 1) 0.0 in

@@ -32,6 +32,10 @@ val calibration : t -> day:int -> Calibration.t
     benchmarks that do not fit are the "X" entries in the paper's plots. *)
 val fits : t -> Ir.Circuit.t -> bool
 
+(** [require_fits m c] is [Ok ()] when [fits m c], and otherwise an
+    [Error] reading ["program needs N qubits; M has K"]. *)
+val require_fits : t -> Ir.Circuit.t -> (unit, string) result
+
 (** [duration_us m c] estimates execution time of a hardware-level circuit
     as critical-path length weighted by per-gate durations. *)
 val duration_us : t -> Ir.Circuit.t -> float

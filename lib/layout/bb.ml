@@ -1,7 +1,6 @@
 (* Branch-and-bound placement search.
 
-   This is the original Triq.Mapper.solve search, generalized over
-   Problem.t and extended with two additional *sound* pruning devices:
+   The paper's max-min search over Problem.t, extended with two additional *sound* pruning devices:
 
    - a memoized partial-assignment bound: per-qubit optimistic caps
      (precomputed once from row maxima of the score model) folded into

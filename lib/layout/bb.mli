@@ -4,8 +4,8 @@
 
     Both added prunings are conservative: they only discard subtrees that
     provably cannot change the recorded incumbent, so results are
-    bit-identical to the original [Triq.Mapper.solve] search (pinned by
-    the golden pipeline fixtures). *)
+    bit-identical to the search without them (pinned by the golden
+    pipeline fixtures). *)
 
 val default_node_budget : int
 

@@ -23,8 +23,3 @@ type t = {
   work : work;
   cache : cache_status;
 }
-
-(* The legacy Mapper.result conflated SAT decisions and search nodes in one
-   [nodes_explored] field; the compat wrappers keep that shape by collapsing
-   the structured work record back down. *)
-let legacy_nodes t = work_total t.work

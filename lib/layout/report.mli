@@ -1,9 +1,6 @@
-(** The structured result every layout strategy returns.
-
-    The legacy [Triq.Mapper.result] conflated B&B search nodes and SAT
-    decisions into a single [nodes_explored] integer; [work] keeps the
-    engines' effort metrics in separate, honestly-named fields, and the
-    compat wrappers collapse them back via {!legacy_nodes}. *)
+(** The structured result every layout strategy returns. [work] keeps
+    each engine's effort metric in its own field: B&B search nodes, SAT
+    decisions and greedy steps are not comparable units. *)
 
 type work = {
   search_nodes : int;  (** B&B assignments considered *)
@@ -31,6 +28,3 @@ type t = {
   work : work;
   cache : cache_status;
 }
-
-(** Total work in the legacy single-integer shape. *)
-val legacy_nodes : t -> int

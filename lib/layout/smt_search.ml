@@ -2,7 +2,7 @@
 
    The max-min objective is realized as a binary search for the highest
    satisfiable reliability threshold over the sorted distinct score
-   values, exactly like the original Triq.Mapper_smt — but instead of
+   values — but instead of
    re-encoding the whole formula per threshold, the structural
    (assignment-shaped) clauses are asserted once and the
    forbidden-placement clauses are bucketed into per-threshold *bands*

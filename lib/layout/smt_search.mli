@@ -3,9 +3,9 @@
     per-threshold bands managed via {!Smt.Solver.push}/{!Smt.Solver.pop}
     so the structural clauses are encoded exactly once.
 
-    Results (placement, objective, decision counts) are identical to the
-    original from-scratch-per-threshold [Triq.Mapper_smt.solve]: the DPLL
-    search depends only on the clause set, which is unchanged. *)
+    Results (placement, objective, decision counts) are identical to a
+    from-scratch encoding per threshold: the DPLL search depends only on
+    the clause set, which is unchanged. *)
 
 (** [solve ?race ?seed ?decision_budget problem] maximizes the minimum
     reliability threshold. [seed] (e.g. the greedy placement) raises the

@@ -59,9 +59,9 @@ let check_parsed ~what ~expect_n c (parsed_circuit : Circuit.t) parsed_readout =
 let roundtrip_once vendor c ~what text =
   match vendor with
   | Qasm ->
-    let p = Backend.Qasm_parse.parse text in
-    check_parsed ~what ~expect_n:c.Circuit.n_qubits c p.Backend.Qasm_parse.circuit
-      p.Backend.Qasm_parse.readout
+    let p = Qasm.Frontend.parse text in
+    let readout = List.mapi (fun i q -> (i, q)) p.Qasm.Frontend.measured in
+    check_parsed ~what ~expect_n:c.Circuit.n_qubits c p.Qasm.Frontend.circuit readout
   | Quil ->
     let p = Backend.Quil_parse.parse text in
     (* Quil has no qubit declaration: the parser can only infer the
@@ -252,8 +252,7 @@ let check_schedule ~machine ~level ~router ~peephole ~day c =
            (Triq.Pipeline.level_name level)
            (Triq.Pass.Config.router_name router)
            peephole day (Printexc.to_string e))
-    | compiled -> (
-      let executable = Triq.Pipeline.to_compiled compiled in
+    | executable -> (
       match Sim.Verify.check ~program:c ~measured executable with
       | exception e ->
         Error
@@ -299,8 +298,7 @@ let check_determinism ~machine ~sample_counts ~explicit_t1 ~run_seed c =
     with
     | exception e ->
       Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
-    | compiled -> (
-      let executable = Triq.Pipeline.to_compiled compiled in
+    | executable -> (
       let spec =
         match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
         | [] -> Ir.Spec.deterministic measured (String.make (List.length measured) '0')
@@ -419,8 +417,7 @@ let check_clifford ~machine ~run_seed c =
           with
           | exception e ->
             Error (Printf.sprintf "compile raised: %s" (Printexc.to_string e))
-          | compiled -> (
-            let executable = Triq.Pipeline.to_compiled compiled in
+          | executable -> (
             let spec =
               match Sim.Runner.ideal_distribution (Circuit.body c) ~measured with
               | [] ->

@@ -116,22 +116,6 @@ end
     (zero trajectories would yield all-NaN outcomes). *)
 val simulate : ?config:Config.t -> Triq.Compiled.t -> Ir.Spec.t -> outcome
 
-(** Deprecated optional-argument spelling of {!simulate}: each argument
-    populates the corresponding {!Config.t} field. Behaviour is
-    identical (a golden equivalence test pins this). *)
-val run :
-  ?seed:int ->
-  ?trials:int ->
-  ?trajectories:int ->
-  ?day:int ->
-  ?sample_counts:bool ->
-  ?explicit_t1:bool ->
-  ?pool:Parallel.Pool.t ->
-  Triq.Compiled.t ->
-  Ir.Spec.t ->
-  outcome
-[@@deprecated "use Runner.simulate ~config"]
-
 (** [ideal_distribution circuit ~measured] is the noiseless output
     distribution of a *program-level* circuit over the given measured
     qubits (bitstring order = [measured] order) — used to build

@@ -87,13 +87,6 @@ val apply_gate : t -> Ir.Gate.t -> unit
     |0...0> (measures are skipped — readout is handled by the caller). *)
 val run : Ir.Circuit.t -> t
 
-(** [sample t rng] draws a basis-state index from the state's
-    distribution. Rebuilds the O(2^n) cumulative table on {e every}
-    call — callers that draw repeatedly must build a {!sampler} once
-    instead. *)
-val sample : t -> Mathkit.Rng.t -> int
-[@@deprecated "build a Statevector.sampler once and reuse it"]
-
 (** [cdf_index cumulative target] is the index of the bucket a draw of
     [target] selects in a non-decreasing cumulative-mass table: the
     smallest [i] with [cumulative.(i) > target], walked back over

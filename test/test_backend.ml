@@ -1,6 +1,6 @@
 (* Code-generation tests: each emitter produces only its vendor's
-   software-visible syntax, and OpenQASM round-trips through the subset
-   parser with the unitary preserved. *)
+   software-visible syntax, and OpenQASM round-trips through the
+   OpenQASM front end with the unitary preserved. *)
 
 module G = Ir.Gate
 module Circuit = Ir.Circuit
@@ -8,10 +8,11 @@ module Mat = Ir.Matrices
 module M = Mathkit.Matrix
 module Machines = Device.Machines
 module Pipeline = Triq.Pipeline
+module Frontend = Qasm.Frontend
 
 let bv4 = (Bench_kit.Programs.bv 4).Bench_kit.Programs.circuit
 
-let compile machine = Pipeline.to_compiled (Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN)
+let compile machine = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN
 
 let contains hay needle =
   let h = String.length hay and n = String.length needle in
@@ -43,27 +44,27 @@ let test_qasm_rejects_wrong_vendor () =
 let test_qasm_roundtrip () =
   let compiled = compile Machines.ibmq5 in
   let text = Backend.Qasm_emit.emit compiled in
-  let parsed = Backend.Qasm_parse.parse text in
-  Alcotest.(check int) "qubits" 5 parsed.Backend.Qasm_parse.n_qubits;
+  let parsed = Frontend.parse text in
+  Alcotest.(check int) "qubits" 5 parsed.Frontend.circuit.Circuit.n_qubits;
   (* Same gate sequence after the round trip. *)
   Alcotest.(check bool) "circuits equal" true
-    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Backend.Qasm_parse.circuit)
+    (Circuit.equal compiled.Triq.Compiled.hardware parsed.Frontend.circuit)
 
 let test_qasm_roundtrip_unitary () =
   let compiled = compile Machines.ibmq5 in
   let text = Backend.Qasm_emit.emit compiled in
-  let parsed = Backend.Qasm_parse.parse text in
+  let parsed = Frontend.parse text in
   let restrict c =
     let body = Circuit.body c in
     fst (Circuit.compact body)
   in
   let u1 = Mat.circuit_unitary (restrict compiled.Triq.Compiled.hardware) in
-  let u2 = Mat.circuit_unitary (restrict parsed.Backend.Qasm_parse.circuit) in
+  let u2 = Mat.circuit_unitary (restrict parsed.Frontend.circuit) in
   Alcotest.(check bool) "unitary preserved" true (M.proportional ~eps:1e-9 u1 u2)
 
 let test_qasm_parse_errors () =
   let raises s =
-    try ignore (Backend.Qasm_parse.parse s); false with Backend.Qasm_parse.Error _ -> true
+    try ignore (Frontend.parse s); false with Frontend.Error _ -> true
   in
   Alcotest.(check bool) "no qreg" true (raises "OPENQASM 2.0;\ncx q[0],q[1];");
   Alcotest.(check bool) "junk" true
@@ -75,9 +76,9 @@ let test_qasm_parse_readout_map () =
   let text =
     "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nmeasure q[2] -> c[0];\nmeasure q[0] -> c[1];\n"
   in
-  let parsed = Backend.Qasm_parse.parse text in
+  let parsed = Frontend.parse text in
   Alcotest.(check (list (pair int int))) "readout" [ (0, 2); (1, 0) ]
-    parsed.Backend.Qasm_parse.readout
+    (List.mapi (fun i q -> (i, q)) parsed.Frontend.measured)
 
 (* ---------- Quil ---------- *)
 
@@ -185,7 +186,7 @@ let test_qasm_whitespace_dialects () =
         "OPENQASM 2.0;\nqreg q[2];  \nu1(0.5) q[1];   \n",
         [ G.One (G.U1 0.5, 1) ] );
       ( "tab separators",
-        "OPENQASM 2.0;\nqreg\tq[2];\ncx\tq[0],q[1];\nmeasure\tq[0]\t->\tc[0];\n",
+        "OPENQASM 2.0;\nqreg\tq[2];\ncreg c[1];\ncx\tq[0],q[1];\nmeasure\tq[0]\t->\tc[0];\n",
         [ G.Two (G.Cnot, 0, 1); G.Measure 0 ] );
       ( "scientific notation",
         "OPENQASM 2.0;\nqreg q[1];\nu1(1e-3) q[0];\nu2(2.5e-2,-1E-4) q[0];\n",
@@ -197,7 +198,7 @@ let test_qasm_whitespace_dialects () =
   in
   List.iter
     (fun (label, src, expected) ->
-      check_gates label expected (Backend.Qasm_parse.parse src).Backend.Qasm_parse.circuit)
+      check_gates label expected (Frontend.parse src).Frontend.circuit)
     table
 
 let test_quil_whitespace_dialects () =

@@ -293,6 +293,14 @@ let test_machines_fits () =
   Alcotest.(check bool) "5 fits" true (Machine.fits Machines.ibmq5 c5);
   Alcotest.(check bool) "6 does not" false (Machine.fits Machines.ibmq5 c6)
 
+let test_machines_require_fits () =
+  let c5 = Circuit.empty 5 and c8 = Circuit.empty 8 in
+  Alcotest.(check (result unit string)) "5 fits" (Ok ())
+    (Machine.require_fits Machines.ibmq5 c5);
+  Alcotest.(check (result unit string)) "8 does not"
+    (Error "program needs 8 qubits; IBMQ5 has 5")
+    (Machine.require_fits Machines.ibmq5 c8)
+
 let test_machines_duration () =
   let c =
     Circuit.create 2 [ G.One (G.H, 0); G.Two (G.Cnot, 0, 1); G.One (G.H, 1) ]
@@ -415,7 +423,7 @@ let test_machine_io_usable_for_compilation () =
   let p = Circuit.measure_all
       (Circuit.create 2 [ G.One (G.H, 0); G.Two (G.Cnot, 0, 1) ]) [ 0; 1 ] in
   let compiled = Triq.Pipeline.compile_level m p ~level:Triq.Pipeline.OneQOptCN in
-  Alcotest.(check bool) "compiles" true (compiled.Triq.Pipeline.two_q_count > 0)
+  Alcotest.(check bool) "compiles" true (compiled.Triq.Compiled.two_q_count > 0)
 
 (* qcheck: random ring machines roundtrip through JSON exactly. *)
 let machine_gen =
@@ -511,6 +519,7 @@ let () =
           Alcotest.test_case "vendors" `Quick test_machines_vendors;
           Alcotest.test_case "find" `Quick test_machines_find_case_insensitive;
           Alcotest.test_case "fits" `Quick test_machines_fits;
+          Alcotest.test_case "require_fits" `Quick test_machines_require_fits;
           Alcotest.test_case "duration" `Quick test_machines_duration;
           Alcotest.test_case "extended inventory" `Quick test_machines_extended;
           Alcotest.test_case "example 8q" `Quick test_machines_example_8q;

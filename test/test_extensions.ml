@@ -2,10 +2,6 @@
    cancellation, the product mapping objective, the distance-dependent
    large ion trap, and the extension experiments. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module G = Ir.Gate
 module Circuit = Ir.Circuit
 module Mat = Ir.Matrices
@@ -14,7 +10,9 @@ module Rng = Mathkit.Rng
 module Machines = Device.Machines
 module Machine = Device.Machine
 module Calibration = Device.Calibration
-module Mapper = Triq.Mapper
+module Placement = Triq.Placement
+module Problem = Layout.Problem
+module Report = Layout.Report
 module Peephole = Triq.Peephole
 module Pipeline = Triq.Pipeline
 module Experiments = Bench_kit.Experiments
@@ -130,9 +128,9 @@ let test_peephole_pipeline_integration () =
       ~level:Pipeline.OneQOptCN
   in
   Alcotest.(check bool) "not worse" true
-    (with_.Pipeline.two_q_count <= without.Pipeline.two_q_count);
+    (with_.Triq.Compiled.two_q_count <= without.Triq.Compiled.two_q_count);
   let outcome =
-    Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) (Pipeline.to_compiled with_)
+    Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:150 ()) with_
       p.Bench_kit.Programs.spec
   in
   Alcotest.(check bool) "still correct" true outcome.Sim.Runner.dominant_correct
@@ -143,15 +141,17 @@ let fig6_reliability () =
   Triq.Reliability.of_calibration ~noise_aware:true
     Machines.example_8q.Machine.topology Machines.example_8q_calibration
 
+let solve ~objective r c = Layout.Bb.solve (Placement.problem ~objective r c)
+
 let test_product_objective_valid () =
   let r = fig6_reliability () in
   let c =
     circuit 3 [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 0 ]
   in
-  let result = Mapper.solve ~objective:Mapper.Product r c in
-  let placed = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let result = solve ~objective:Problem.Product r c in
+  let placed = List.sort_uniq compare (Array.to_list result.Report.placement) in
   Alcotest.(check int) "injective" 3 (List.length placed);
-  Alcotest.(check bool) "optimal" true result.Mapper.optimal
+  Alcotest.(check bool) "optimal" true result.Report.proven_optimal
 
 let test_product_maximizes_product () =
   (* The product solution must have log-product >= the max-min solution's
@@ -162,14 +162,15 @@ let test_product_maximizes_product () =
       [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Two (G.Cnot, 2, 3);
         G.Two (G.Cnot, 3, 0) ]
   in
-  let mm = Mapper.solve ~objective:Mapper.Max_min r c in
-  let pr = Mapper.solve ~objective:Mapper.Product r c in
-  let _, log_mm = Mapper.evaluate r c mm.Mapper.placement in
-  let _, log_pr = Mapper.evaluate r c pr.Mapper.placement in
+  let mm = solve ~objective:Problem.Max_min r c in
+  let pr = solve ~objective:Problem.Product r c in
+  let evaluate (x : Report.t) = Problem.evaluate (Placement.problem r c) x.placement in
+  let _, log_mm = evaluate mm in
+  let _, log_pr = evaluate pr in
   Alcotest.(check bool) "product wins its own game" true (log_pr >= log_mm -. 1e-9);
   (* ... and max-min wins its own game. *)
-  let min_mm, _ = Mapper.evaluate r c mm.Mapper.placement in
-  let min_pr, _ = Mapper.evaluate r c pr.Mapper.placement in
+  let min_mm, _ = evaluate mm in
+  let min_pr, _ = evaluate pr in
   Alcotest.(check bool) "max-min wins its own game" true (min_mm >= min_pr -. 1e-9)
 
 let test_max_min_prunes_better () =
@@ -181,13 +182,13 @@ let test_max_min_prunes_better () =
       (Machine.calibration machine ~day:0)
   in
   let flat = Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit in
-  let mm = Mapper.solve ~objective:Mapper.Max_min reliability flat in
-  let pr = Mapper.solve ~objective:Mapper.Product reliability flat in
+  let mm = solve ~objective:Problem.Max_min reliability flat in
+  let pr = solve ~objective:Problem.Product reliability flat in
   Alcotest.(check bool)
-    (Printf.sprintf "maxmin %d <= product %d nodes" mm.Mapper.nodes_explored
-       pr.Mapper.nodes_explored)
+    (Printf.sprintf "maxmin %d <= product %d nodes" mm.Report.work.search_nodes
+       pr.Report.work.search_nodes)
     true
-    (mm.Mapper.nodes_explored <= pr.Mapper.nodes_explored)
+    (mm.Report.work.search_nodes <= pr.Report.work.search_nodes)
 
 (* ---------- Large ion trap ---------- *)
 
@@ -219,7 +220,7 @@ let test_ion_trap_noise_adaptivity_matters_more () =
       let compiled =
         Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level
       in
-      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:200 ()) (Pipeline.to_compiled compiled)
+      (Sim.Runner.simulate ~config:(Sim.Runner.Config.make ~trajectories:200 ()) compiled
          p.Bench_kit.Programs.spec).Sim.Runner.success_rate
     in
     s Pipeline.OneQOptCN /. s Pipeline.OneQOptC
@@ -242,11 +243,10 @@ let test_lookahead_preserves_semantics () =
         (fun (p : Bench_kit.Programs.t) ->
           if Machine.fits machine p.Bench_kit.Programs.circuit then begin
             let compiled =
-              Pipeline.to_compiled
-                (Pipeline.compile_level
-                   ~config:
-                     (Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
-                   machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
+              Pipeline.compile_level
+                ~config:
+                  (Triq.Pass.Config.make ~router:Triq.Pass.Config.Lookahead ())
+                machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN
             in
             let result =
               Sim.Verify.check_spec p.Bench_kit.Programs.spec
@@ -271,7 +271,7 @@ let test_lookahead_not_worse_on_2q () =
           let count router =
             (Pipeline.compile_level ~config:(Triq.Pass.Config.make ~router ())
                machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
-              .Pipeline.two_q_count
+              .Triq.Compiled.two_q_count
           in
           Some
             ( float_of_int (count Triq.Pass.Config.Default),
@@ -289,9 +289,8 @@ let test_parametric_semantics () =
   List.iter
     (fun (p : Bench_kit.Programs.t) ->
       let compiled =
-        Pipeline.to_compiled
-          (Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
-             ~level:Pipeline.OneQOptCN)
+        Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
+          ~level:Pipeline.OneQOptCN
       in
       Alcotest.(check bool) (p.Bench_kit.Programs.name ^ " visible") true
         (Device.Gateset.circuit_visible Device.Gateset.Rigetti_parametric_visible
@@ -310,7 +309,7 @@ let test_parametric_fewer_two_q () =
   let p = Bench_kit.Programs.bv 8 in
   let count machine =
     (Pipeline.compile_level machine p.Bench_kit.Programs.circuit ~level:Pipeline.OneQOptCN)
-      .Pipeline.two_q_count
+      .Triq.Compiled.two_q_count
   in
   let plain = count Machines.aspen1 and parametric = count Machines.aspen1_parametric in
   Alcotest.(check bool)
@@ -320,9 +319,8 @@ let test_parametric_fewer_two_q () =
 let test_parametric_quil_roundtrip () =
   let p = Bench_kit.Programs.bv 6 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.aspen1_parametric p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let text = Backend.Quil_emit.emit compiled in
   let contains needle =
@@ -349,15 +347,15 @@ let test_ablation_mapper_shape () =
   let data = Experiments.ablation_mapper_data ~node_budget:50_000 () in
   Alcotest.(check int) "12 benchmarks" 12 (List.length data);
   List.iter
-    (fun (bench, (mm : Mapper.result), (pr : Mapper.result), (smt : Mapper.result)) ->
-      if mm.Mapper.objective +. 1e-9 < pr.Mapper.objective then
+    (fun (bench, (mm : Report.t), (pr : Report.t), (smt : Report.t)) ->
+      if mm.objective +. 1e-9 < pr.objective then
         Alcotest.failf "%s: max-min lost its own objective" bench;
       (* The SAT engine is exact: when B&B finished within budget the two
          must agree on the objective. *)
-      if mm.Mapper.optimal && Float.abs (mm.Mapper.objective -. smt.Mapper.objective) > 1e-9
+      if mm.proven_optimal && Float.abs (mm.objective -. smt.objective) > 1e-9
       then
         Alcotest.failf "%s: smt %.4f disagrees with exact b&b %.4f" bench
-          smt.Mapper.objective mm.Mapper.objective)
+          smt.objective mm.objective)
     data
 
 let test_ablation_peephole_shape () =

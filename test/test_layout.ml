@@ -1,11 +1,7 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
    against the pre-refactor fixture, canonical-form behaviour, cache
    semantics, portfolio determinism across pool sizes, and the
-   structured-report / compat-wrapper contract. *)
-
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
+   structured-report contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -23,18 +19,18 @@ let reliability_for machine =
 
 (* Same digest as test/gen_golden: every output-relevant field of the
    compiled artifact, but not timing or search-effort metadata. *)
-let digest (r : Triq.Pipeline.t) =
+let digest (r : Triq.Compiled.t) =
   let payload =
-    ( r.Triq.Pipeline.hardware.Ir.Circuit.gates,
-      r.Triq.Pipeline.hardware.Ir.Circuit.n_qubits,
-      r.Triq.Pipeline.initial_placement,
-      r.Triq.Pipeline.final_placement,
-      r.Triq.Pipeline.readout_map,
-      r.Triq.Pipeline.swap_count,
-      r.Triq.Pipeline.two_q_count,
-      r.Triq.Pipeline.pulse_count,
-      r.Triq.Pipeline.flipped_cnots,
-      r.Triq.Pipeline.esp )
+    ( r.Triq.Compiled.hardware.Ir.Circuit.gates,
+      r.Triq.Compiled.hardware.Ir.Circuit.n_qubits,
+      r.Triq.Compiled.initial_placement,
+      r.Triq.Compiled.final_placement,
+      r.Triq.Compiled.readout_map,
+      r.Triq.Compiled.swap_count,
+      r.Triq.Compiled.two_q_count,
+      r.Triq.Compiled.pulse_count,
+      r.Triq.Compiled.flipped_cnots,
+      r.Triq.Compiled.esp )
   in
   Digest.to_hex (Digest.string (Marshal.to_string payload []))
 
@@ -295,47 +291,24 @@ let test_strategy_registry () =
     (Invalid_argument "Layout.Strategy.register: duplicate strategy bb")
     (fun () -> Layout.Strategy.register Layout.Strategy.bb)
 
-(* ---------- Reports and the compat wrappers ---------- *)
-
-let test_wrappers_match_engine () =
-  let machine = Machines.ibmq5 in
-  let reliability = reliability_for machine in
-  let flat = Ir.Decompose.flatten (Programs.bv 4).Programs.circuit in
-  let pr = Triq.Placement.problem reliability flat in
-  let engine = Layout.Bb.solve pr in
-  let legacy = Triq.Mapper.solve reliability flat in
-  Alcotest.(check bool) "same placement" true
-    (legacy.Triq.Mapper.placement = engine.Report.placement);
-  Alcotest.(check int) "nodes_explored = search_nodes"
-    engine.Report.work.Report.search_nodes legacy.Triq.Mapper.nodes_explored;
-  Alcotest.(check bool) "optimal = proven_optimal" engine.Report.proven_optimal
-    legacy.Triq.Mapper.optimal;
-  let smt_engine = Layout.Smt_search.solve pr in
-  let smt_legacy = Triq.Mapper_smt.solve reliability flat in
-  Alcotest.(check bool) "same smt placement" true
-    (smt_legacy.Triq.Mapper.placement = smt_engine.Report.placement);
-  Alcotest.(check int) "smt nodes_explored = sat_decisions"
-    smt_engine.Report.work.Report.sat_decisions smt_legacy.Triq.Mapper.nodes_explored;
-  Alcotest.(check int) "legacy_nodes totals the work"
-    (Report.work_total engine.Report.work)
-    (Report.legacy_nodes engine)
+(* ---------- Reports ---------- *)
 
 let test_pipeline_layout_report () =
   Triq.Placement.cache_clear ();
   let machine = Machines.ibmq5 in
   let c = (Programs.bv 4).Programs.circuit in
   let r = Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.OneQOptCN in
-  (match r.Triq.Pipeline.layout with
+  (match r.Triq.Compiled.layout with
   | None -> Alcotest.fail "solver levels must report a layout"
   | Some l ->
     Alcotest.(check string) "default strategy" "bb" l.Report.strategy;
     Alcotest.(check bool) "did some work" true (Report.work_total l.Report.work > 0);
     Alcotest.(check bool) "proved optimality" true l.Report.proven_optimal;
     Alcotest.(check bool) "placement recorded" true
-      (l.Report.placement = r.Triq.Pipeline.initial_placement));
+      (l.Report.placement = r.Triq.Compiled.initial_placement));
   let rn = Triq.Pipeline.compile_level machine c ~level:Triq.Pipeline.N in
   Alcotest.(check bool) "identity mapping has no layout" true
-    (rn.Triq.Pipeline.layout = None)
+    (rn.Triq.Compiled.layout = None)
 
 let test_pipeline_strategy_dispatch () =
   let machine = Machines.ibmq5 in
@@ -345,7 +318,7 @@ let test_pipeline_strategy_dispatch () =
     let r =
       Triq.Pipeline.compile_level ~config machine c ~level:Triq.Pipeline.OneQOptCN
     in
-    match r.Triq.Pipeline.layout with
+    match r.Triq.Compiled.layout with
     | None -> Alcotest.fail "expected a layout report"
     | Some l -> l.Report.strategy
   in
@@ -386,7 +359,6 @@ let () =
         ] );
       ( "reports",
         [
-          Alcotest.test_case "compat wrappers" `Quick test_wrappers_match_engine;
           Alcotest.test_case "pipeline report" `Quick test_pipeline_layout_report;
           Alcotest.test_case "strategy dispatch" `Quick test_pipeline_strategy_dispatch;
         ] );

@@ -3,8 +3,8 @@
    round-trips (the Chrome trace re-parses with the independent
    Device.Json reader), the null-sink no-op contract (instrumentation
    must not perturb compile or simulation results), pass_times_s as a
-   derived view of the pass spans, metrics counter deltas, the shared
-   CLI envelope, and the deprecated Runner.run compat wrapper. *)
+   derived view of the pass spans, metrics counter deltas, and the shared
+   CLI envelope. *)
 
 module Span = Obs.Span
 module Metrics = Obs.Metrics
@@ -229,7 +229,7 @@ let test_null_sink_golden_compile () =
   let simulate c =
     Runner.simulate
       ~config:(Runner.Config.make ~trajectories:40 ())
-      (Triq.Pipeline.to_compiled c) p.Programs.spec
+      c p.Programs.spec
   in
   Span.disable ();
   let c_off = compile () in
@@ -238,8 +238,8 @@ let test_null_sink_golden_compile () =
       let c_on = compile () in
       let o_on = simulate c_on in
       Alcotest.(check bool) "placement identical" true
-        (c_off.Triq.Pipeline.initial_placement
-        = c_on.Triq.Pipeline.initial_placement);
+        (c_off.Triq.Compiled.initial_placement
+        = c_on.Triq.Compiled.initial_placement);
       Alcotest.(check bool) "distribution identical" true
         (o_off.Runner.distribution = o_on.Runner.distribution);
       Alcotest.(check (float 0.0))
@@ -273,9 +273,9 @@ let test_pass_times_derived_from_spans () =
             Alcotest.(check (option int))
               (name ^ " nests under compile")
               (Some compile_span.Span.id) s.Span.parent)
-        r.Triq.Pipeline.pass_times_s;
+        r.Triq.Compiled.pass_times_s;
       let sum =
-        List.fold_left (fun a (_, s) -> a +. s) 0.0 r.Triq.Pipeline.pass_times_s
+        List.fold_left (fun a (_, s) -> a +. s) 0.0 r.Triq.Compiled.pass_times_s
       in
       Alcotest.(check bool) "sum of passes <= compile total" true
         (sum <= Obs.Clock.ns_to_s compile_span.Span.dur_ns +. 1e-6))
@@ -312,34 +312,6 @@ let test_output_envelope () =
     {|{"ok":false,"command":"lint","data":[{"pre":1}]}|}
     (Obs.Output.to_string ~ok:false ~command:"lint"
        (Json.List [ Json.Raw {|{"pre":1}|} ]))
-
-(* ---------- Deprecated Runner.run compat wrapper ---------- *)
-
-module Compat = struct
-  [@@@alert "-deprecated"]
-
-  (* The one sanctioned caller of the deprecated wrapper: proves it is
-     exactly [simulate ~config] until it is removed. *)
-  let legacy_run = Runner.run
-end
-
-let test_runner_compat_wrapper () =
-  let p = Programs.bv 4 in
-  let compiled =
-    Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level Device.Machines.ibmq14 p.Programs.circuit
-         ~level:Triq.Pipeline.OneQOptCN)
-  in
-  let legacy =
-    Compat.legacy_run ~seed:7 ~trials:4096 ~trajectories:60 compiled
-      p.Programs.spec
-  in
-  let current =
-    Runner.simulate
-      ~config:(Runner.Config.make ~seed:7 ~trials:4096 ~trajectories:60 ())
-      compiled p.Programs.spec
-  in
-  Alcotest.(check bool) "identical outcome" true (legacy = current)
 
 let () =
   Alcotest.run "obs"
@@ -378,7 +350,5 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "envelope" `Quick test_output_envelope;
-          Alcotest.test_case "runner compat wrapper" `Quick
-            test_runner_compat_wrapper;
         ] );
     ]

@@ -81,9 +81,8 @@ let test_pool_default_resize () =
 
 let compiled_bv machine n =
   let p = Programs.bv n in
-  ( Triq.Pipeline.to_compiled
-      (Triq.Pipeline.compile_level machine p.Programs.circuit
-         ~level:Triq.Pipeline.OneQOptCN),
+  ( Triq.Pipeline.compile_level machine p.Programs.circuit
+      ~level:Triq.Pipeline.OneQOptCN,
     p.Programs.spec )
 
 let check_outcome_equal what (a : Runner.outcome) (b : Runner.outcome) =

@@ -1,11 +1,5 @@
-(* Tests for the pass manager: schedule/legacy equivalence (the golden
-   gate for the Pipeline.compile compatibility wrapper), unified pass
-   naming, schedule editing, and custom passes.
-
-   This file deliberately keeps calling the deprecated [Pipeline.compile]
-   wrapper: it IS the golden gate proving the wrapper and the schedule
-   driver produce identical executables, so it must not be migrated. *)
-[@@@alert "-deprecated"]
+(* Tests for the pass manager: level/schedule equivalence, unified pass
+   naming, schedule editing, and custom passes. *)
 
 module Circuit = Ir.Circuit
 module Machine = Device.Machine
@@ -23,39 +17,39 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let check_identical label (a : Pipeline.t) (b : Pipeline.t) =
+let check_identical label (a : Triq.Compiled.t) (b : Triq.Compiled.t) =
   Alcotest.(check bool)
     (label ^ ": hardware circuit identical")
     true
-    (a.Pipeline.hardware = b.Pipeline.hardware);
+    (a.Triq.Compiled.hardware = b.Triq.Compiled.hardware);
   Alcotest.(check bool)
     (label ^ ": initial placement identical")
     true
-    (a.Pipeline.initial_placement = b.Pipeline.initial_placement);
+    (a.Triq.Compiled.initial_placement = b.Triq.Compiled.initial_placement);
   Alcotest.(check bool)
     (label ^ ": final placement identical")
     true
-    (a.Pipeline.final_placement = b.Pipeline.final_placement);
+    (a.Triq.Compiled.final_placement = b.Triq.Compiled.final_placement);
   Alcotest.(check bool)
     (label ^ ": readout map identical")
     true
-    (a.Pipeline.readout_map = b.Pipeline.readout_map);
-  Alcotest.(check int) (label ^ ": swap count") a.Pipeline.swap_count
-    b.Pipeline.swap_count;
-  Alcotest.(check int) (label ^ ": 2Q count") a.Pipeline.two_q_count
-    b.Pipeline.two_q_count;
-  Alcotest.(check int) (label ^ ": pulse count") a.Pipeline.pulse_count
-    b.Pipeline.pulse_count;
-  Alcotest.(check int) (label ^ ": flipped CNOTs") a.Pipeline.flipped_cnots
-    b.Pipeline.flipped_cnots;
-  if abs_float (a.Pipeline.esp -. b.Pipeline.esp) > 1e-12 then
-    Alcotest.failf "%s: ESP differs: %.15f vs %.15f" label a.Pipeline.esp
-      b.Pipeline.esp
+    (a.Triq.Compiled.readout_map = b.Triq.Compiled.readout_map);
+  Alcotest.(check int) (label ^ ": swap count") a.Triq.Compiled.swap_count
+    b.Triq.Compiled.swap_count;
+  Alcotest.(check int) (label ^ ": 2Q count") a.Triq.Compiled.two_q_count
+    b.Triq.Compiled.two_q_count;
+  Alcotest.(check int) (label ^ ": pulse count") a.Triq.Compiled.pulse_count
+    b.Triq.Compiled.pulse_count;
+  Alcotest.(check int) (label ^ ": flipped CNOTs") a.Triq.Compiled.flipped_cnots
+    b.Triq.Compiled.flipped_cnots;
+  if abs_float (a.Triq.Compiled.esp -. b.Triq.Compiled.esp) > 1e-12 then
+    Alcotest.failf "%s: ESP differs: %.15f vs %.15f" label a.Triq.Compiled.esp
+      b.Triq.Compiled.esp
 
-(* The equivalence gate: the schedule-driven driver and the legacy
-   [Pipeline.compile] path agree exactly, for every machine x level x
-   benchmark (and the compat wrapper's output is internally consistent:
-   per-pass times sum to at most the total). *)
+(* The equivalence gate: [compile_level] and [compile_schedule] on the
+   level's schedule agree exactly, for every machine x level x benchmark
+   (and the output is internally consistent: per-pass times sum to at
+   most the total). *)
 let test_schedule_equivalence () =
   List.iter
     (fun machine ->
@@ -68,48 +62,43 @@ let test_schedule_equivalence () =
                   Printf.sprintf "%s/%s/%s" machine.Machine.name p.Programs.name
                     (Pipeline.level_name level)
                 in
-                let legacy = Pipeline.compile machine p.Programs.circuit ~level in
+                let leveled = Pipeline.compile_level machine p.Programs.circuit ~level in
+                let config = Config.default in
                 let scheduled =
-                  Pipeline.compile_schedule machine p.Programs.circuit
-                    (Schedule.of_level level)
+                  Pipeline.compile_schedule ~config machine p.Programs.circuit
+                    (Schedule.of_level ~config level)
                 in
-                check_identical label legacy scheduled;
+                check_identical label leveled scheduled;
                 let total =
                   List.fold_left
                     (fun acc (_, t) -> acc +. t)
-                    0.0 legacy.Pipeline.pass_times_s
+                    0.0 leveled.Triq.Compiled.pass_times_s
                 in
                 Alcotest.(check bool)
                   (label ^ ": pass times within compile time")
                   true
-                  (total <= legacy.Pipeline.compile_time_s +. 1e-6))
+                  (total <= leveled.Triq.Compiled.compile_time_s +. 1e-6))
               Pipeline.all_levels)
         benchmarks)
     Machines.all
 
-(* Router and peephole ablations exercise the non-default wrapper paths:
-   the optional-argument spelling and the config/schedule spelling must
-   agree too. *)
+(* Router and peephole ablations exercise non-default configs: the level
+   spelling and the config/schedule spelling must agree too. *)
 let test_ablation_equivalence () =
   let machine = Machines.ibmq14 in
   List.iter
     (fun (p : Programs.t) ->
       let circuit = p.Programs.circuit in
-      let legacy_peep =
-        Pipeline.compile ~peephole:true machine circuit ~level:Pipeline.OneQOptCN
-      in
-      let config = { Config.default with Config.peephole = true } in
-      check_identical (p.Programs.name ^ " peephole") legacy_peep
-        (Pipeline.compile_schedule ~config machine circuit
-           (Schedule.of_level ~config Pipeline.OneQOptCN));
-      let legacy_look =
-        Pipeline.compile ~router:`Lookahead machine circuit
-          ~level:Pipeline.OneQOptCN
-      in
-      let config = { Config.default with Config.router = Config.Lookahead } in
-      check_identical (p.Programs.name ^ " lookahead") legacy_look
-        (Pipeline.compile_schedule ~config machine circuit
-           (Schedule.of_level ~config Pipeline.OneQOptCN)))
+      List.iter
+        (fun (what, config) ->
+          check_identical (p.Programs.name ^ " " ^ what)
+            (Pipeline.compile_level ~config machine circuit ~level:Pipeline.OneQOptCN)
+            (Pipeline.compile_schedule ~config machine circuit
+               (Schedule.of_level ~config Pipeline.OneQOptCN)))
+        [
+          ("peephole", { Config.default with Config.peephole = true });
+          ("lookahead", { Config.default with Config.router = Config.Lookahead });
+        ])
     benchmarks
 
 (* Satellite: pass-name unification. The timing keys, the schedule's pass
@@ -119,11 +108,11 @@ let test_pass_name_sets_match () =
   List.iter
     (fun level ->
       let schedule = Schedule.of_level level in
-      let r = Pipeline.compile Machines.ibmq5 (Programs.bv 4).Programs.circuit ~level in
+      let r = Pipeline.compile_level Machines.ibmq5 (Programs.bv 4).Programs.circuit ~level in
       Alcotest.(check (list string))
         (Pipeline.level_name level ^ ": timing keys = schedule pass names")
         (Schedule.pass_names schedule)
-        (List.map fst r.Pipeline.pass_times_s);
+        (List.map fst r.Triq.Compiled.pass_times_s);
       List.iter
         (fun name ->
           if not (List.mem name catalog_names) then
@@ -207,7 +196,7 @@ let test_schedule_disable_mapping () =
   | Error msg -> Alcotest.failf "disable mapping: %s" msg
   | Ok schedule ->
     check_identical "no-mapping = trivial placement"
-      (Pipeline.compile machine circuit ~level:Pipeline.OneQOpt)
+      (Pipeline.compile_level machine circuit ~level:Pipeline.OneQOpt)
       (Pipeline.compile_schedule machine circuit schedule)
 
 let test_schedule_make () =
@@ -221,7 +210,7 @@ let test_schedule_make () =
   | Error msg -> Alcotest.failf "make: %s" msg
   | Ok schedule ->
     check_identical "make = of_level"
-      (Pipeline.compile Machines.ibmq14 (Programs.bv 4).Programs.circuit
+      (Pipeline.compile_level Machines.ibmq14 (Programs.bv 4).Programs.circuit
          ~level:Pipeline.OneQOptCN)
       (Pipeline.compile_schedule Machines.ibmq14 (Programs.bv 4).Programs.circuit
          schedule));

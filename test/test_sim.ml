@@ -90,15 +90,7 @@ let test_sv_sample_distribution () =
     if draw rng = 1 then incr ones
   done;
   let frac = float_of_int !ones /. float_of_int n in
-  if Float.abs (frac -. 0.5) > 0.02 then Alcotest.failf "biased sampling: %f" frac;
-  (* The deprecated one-shot convenience must keep agreeing with a fresh
-     sampler stream (compat guarantee for external callers). *)
-  let r1 = Rng.create 11 and r2 = Rng.create 11 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "sample = sampler"
-      ((Sv.sample [@alert "-deprecated"]) s r1)
-      (Sv.sampler s r2)
-  done
+  if Float.abs (frac -. 0.5) > 0.02 then Alcotest.failf "biased sampling: %f" frac
 
 let test_sv_rejects_measure () =
   let s = Sv.init 1 in
@@ -204,8 +196,7 @@ let bell_spec = Ir.Spec.distribution [ 0; 1 ] [ ("00", 0.5); ("11", 0.5) ]
 
 let test_runner_rejects_degenerate_params () =
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN
   in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   (* trajectories=0 used to divide the averaged distribution by zero and
@@ -217,7 +208,7 @@ let test_runner_rejects_degenerate_params () =
 
 let test_runner_bell_on_umd () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
-  let outcome = Runner.simulate (Pipeline.to_compiled compiled) bell_spec in
+  let outcome = Runner.simulate compiled bell_spec in
   Alcotest.(check bool)
     (Printf.sprintf "high success (%f)" outcome.Runner.success_rate)
     true
@@ -227,8 +218,8 @@ let test_runner_bell_on_umd () =
 
 let test_runner_deterministic () =
   let compiled = Pipeline.compile_level Machines.ibmq5 bell_program ~level:Pipeline.OneQOptCN in
-  let o1 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) (Pipeline.to_compiled compiled) bell_spec in
-  let o2 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) (Pipeline.to_compiled compiled) bell_spec in
+  let o1 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) compiled bell_spec in
+  let o2 = Runner.simulate ~config:(Runner.Config.make ~seed:5 ()) compiled bell_spec in
   Alcotest.(check (float 1e-12)) "same seed, same result" o1.Runner.success_rate
     o2.Runner.success_rate
 
@@ -238,7 +229,7 @@ let test_runner_noise_hurts () =
   let x_program = Circuit.measure_all (circuit 1 [ G.One (G.X, 0) ]) [ 0 ] in
   let spec = Ir.Spec.deterministic [ 0 ] "1" in
   let compiled = Pipeline.compile_level Machines.agave x_program ~level:Pipeline.OneQOptCN in
-  let outcome = Runner.simulate (Pipeline.to_compiled compiled) spec in
+  let outcome = Runner.simulate compiled spec in
   Alcotest.(check bool) "below perfect" true (outcome.Runner.success_rate < 1.0);
   Alcotest.(check bool) "above chance" true (outcome.Runner.success_rate > 0.6)
 
@@ -269,8 +260,8 @@ let test_runner_better_esp_better_success () =
       ~level:Pipeline.OneQOptCN
   in
   let spec = program.Bench_kit.Programs.spec in
-  let o_naive = Runner.simulate (Pipeline.to_compiled naive) spec in
-  let o_smart = Runner.simulate (Pipeline.to_compiled smart) spec in
+  let o_naive = Runner.simulate naive spec in
+  let o_smart = Runner.simulate smart spec in
   Alcotest.(check bool)
     (Printf.sprintf "smart %.3f >= naive %.3f - 0.05" o_smart.Runner.success_rate
        o_naive.Runner.success_rate)
@@ -280,7 +271,7 @@ let test_runner_better_esp_better_success () =
 let test_runner_sampled_counts () =
   let compiled = Pipeline.compile_level Machines.umdti bell_program ~level:Pipeline.OneQOptCN in
   let o =
-    Runner.simulate ~config:(Runner.Config.make ~seed:9 ~sample_counts:true ()) (Pipeline.to_compiled compiled) bell_spec
+    Runner.simulate ~config:(Runner.Config.make ~seed:9 ~sample_counts:true ()) compiled bell_spec
   in
   Alcotest.(check int) "counts sum to trials" o.Runner.trials
     (List.fold_left (fun acc (_, n) -> acc + n) 0 o.Runner.counts);
@@ -293,7 +284,7 @@ let test_runner_sampled_counts () =
     (Float.abs (p00 -. 0.5) < 0.05);
   (* Different seeds produce different samples. *)
   let o2 =
-    Runner.simulate ~config:(Runner.Config.make ~seed:10 ~sample_counts:true ()) (Pipeline.to_compiled compiled) bell_spec
+    Runner.simulate ~config:(Runner.Config.make ~seed:10 ~sample_counts:true ()) compiled bell_spec
   in
   Alcotest.(check bool) "seeds differ" true (o.Runner.counts <> o2.Runner.counts)
 
@@ -332,9 +323,8 @@ let test_mitigation_improves_success () =
   (* On a readout-heavy machine, mitigation must raise measured success. *)
   let p = Bench_kit.Programs.toffoli in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.agave p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.agave p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let raw, mitigated =
     Sim.Mitigation.mitigated_success ~trajectories:300 compiled
@@ -586,9 +576,8 @@ let test_runner_backends_agree () =
      the tiny gap absorbs the report's 1e-6 truncation). *)
   let p = Bench_kit.Programs.bv 4 in
   let compiled =
-    Pipeline.to_compiled
-      (Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
-         ~level:Pipeline.OneQOptCN)
+    Pipeline.compile_level Machines.ibmq5 p.Bench_kit.Programs.circuit
+      ~level:Pipeline.OneQOptCN
   in
   let run backend fusion =
     Runner.simulate
@@ -660,7 +649,7 @@ let golden_cells =
              else
                List.map
                  (fun level ->
-                   ( Pipeline.to_compiled (Pipeline.compile_level m p.circuit ~level),
+                   ( Pipeline.compile_level m p.circuit ~level,
                      p.spec ))
                  [ Pipeline.N; Pipeline.OneQOptCN ])
            Machines.all)

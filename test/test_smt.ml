@@ -2,16 +2,11 @@
    and the SMT-style mapper's agreement with the branch-and-bound
    mapper. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module Solver = Smt.Solver
 module Rng = Mathkit.Rng
 
 module Circuit = Ir.Circuit
-module Mapper = Triq.Mapper
-module Mapper_smt = Triq.Mapper_smt
+module Report = Layout.Report
 module Machines = Device.Machines
 module Machine = Device.Machine
 
@@ -177,16 +172,19 @@ let test_solver_nested_scopes () =
 let reliability_for machine =
   Triq.Reliability.compute ~noise_aware:true machine (Machine.calibration machine ~day:0)
 
+let bnb_solve r c = Layout.Bb.solve (Triq.Placement.problem r c)
+let smt_solve r c = Layout.Smt_search.solve (Triq.Placement.problem r c)
+
 let test_mapper_smt_matches_bnb () =
   List.iter
     (fun (machine, (p : Bench_kit.Programs.t)) ->
       let reliability = reliability_for machine in
       let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
-      let bnb = Mapper.solve reliability flat in
-      let smt = Mapper_smt.solve reliability flat in
-      if Float.abs (bnb.Mapper.objective -. smt.Mapper.objective) > 1e-9 then
+      let bnb = bnb_solve reliability flat in
+      let smt = smt_solve reliability flat in
+      if Float.abs (bnb.Report.objective -. smt.Report.objective) > 1e-9 then
         Alcotest.failf "%s/%s: bnb %.6f vs smt %.6f" machine.Machine.name
-          p.Bench_kit.Programs.name bnb.Mapper.objective smt.Mapper.objective)
+          p.Bench_kit.Programs.name bnb.Report.objective smt.Report.objective)
     [
       (Machines.ibmq5, Bench_kit.Programs.bv 4);
       (Machines.ibmq5, Bench_kit.Programs.toffoli);
@@ -199,14 +197,14 @@ let test_mapper_smt_placement_valid () =
   let machine = Machines.ibmq14 in
   let reliability = reliability_for machine in
   let flat = Ir.Decompose.flatten (Bench_kit.Programs.bv 6).Bench_kit.Programs.circuit in
-  let result = Mapper_smt.solve reliability flat in
-  let sorted = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let result = smt_solve reliability flat in
+  let sorted = List.sort_uniq compare (Array.to_list result.Report.placement) in
   Alcotest.(check int) "injective" 6 (List.length sorted);
   Array.iter
     (fun h -> if h < 0 || h >= 14 then Alcotest.fail "placement out of range")
-    result.Mapper.placement;
-  Alcotest.(check bool) "exact" true result.Mapper.optimal;
-  Alcotest.(check bool) "did some work" true (result.Mapper.nodes_explored > 0)
+    result.Report.placement;
+  Alcotest.(check bool) "exact" true result.Report.proven_optimal;
+  Alcotest.(check bool) "did some work" true (result.Report.work.sat_decisions > 0)
 
 let test_mapper_smt_usable_in_router () =
   (* The SMT placement must route and preserve semantics end to end. *)
@@ -214,10 +212,10 @@ let test_mapper_smt_usable_in_router () =
   let p = Bench_kit.Programs.bv 4 in
   let reliability = reliability_for machine in
   let flat = Ir.Decompose.flatten p.Bench_kit.Programs.circuit in
-  let result = Mapper_smt.solve reliability flat in
+  let result = smt_solve reliability flat in
   let routed =
     Triq.Router.route reliability machine.Machine.topology
-      ~placement:result.Mapper.placement flat
+      ~placement:result.Report.placement flat
   in
   Alcotest.(check bool) "routed" true
     (Circuit.gate_count routed.Triq.Router.circuit > 0)

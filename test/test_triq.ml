@@ -2,10 +2,6 @@
    Figure 6 worked example), mapper, router, direction fixing, vendor gate
    translation and 1Q optimization. *)
 
-(* The legacy Mapper/Mapper_smt wrappers are exercised on purpose: these
-   tests pin the wrappers' golden equivalence with the layout engine. *)
-[@@@alert "-deprecated"]
-
 module G = Ir.Gate
 module Circuit = Ir.Circuit
 module Dec = Ir.Decompose
@@ -18,7 +14,8 @@ module Calibration = Device.Calibration
 module Machines = Device.Machines
 module Gateset = Device.Gateset
 module Reliability = Triq.Reliability
-module Mapper = Triq.Mapper
+module Placement = Triq.Placement
+module Report = Layout.Report
 module Router = Triq.Router
 module Direction = Triq.Direction
 module Translate = Triq.Translate
@@ -106,19 +103,21 @@ let test_reliability_fully_connected () =
 
 (* ---------- Mapper ---------- *)
 
+let solve ?node_budget r c = Layout.Bb.solve ?node_budget (Placement.problem r c)
+
 let test_mapper_interactions () =
   let c =
     circuit 3
       [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 0 ]
   in
   Alcotest.(check (list (pair (pair int int) int)))
-    "aggregated" [ ((0, 1), 2); ((1, 2), 1) ] (Mapper.interactions c)
+    "aggregated" [ ((0, 1), 2); ((1, 2), 1) ] (Placement.interactions c)
 
 let test_mapper_trivial () =
   Alcotest.(check (array int)) "identity" [| 0; 1; 2 |]
-    (Mapper.trivial ~n_program:3 ~n_hardware:5);
+    (Placement.trivial ~n_program:3 ~n_hardware:5);
   Alcotest.(check bool) "too big" true
-    (try ignore (Mapper.trivial ~n_program:6 ~n_hardware:5); false
+    (try ignore (Placement.trivial ~n_program:6 ~n_hardware:5); false
      with Invalid_argument _ -> true)
 
 let test_mapper_prefers_good_edge () =
@@ -132,9 +131,9 @@ let test_mapper_prefers_good_edge () =
   in
   let r = Reliability.of_calibration ~noise_aware:true topo cal in
   let c = circuit 2 [ G.Two (G.Cnot, 0, 1); G.Measure 0; G.Measure 1 ] in
-  let result = Mapper.solve r c in
-  Alcotest.(check bool) "optimal search" true result.Mapper.optimal;
-  let placed = List.sort compare (Array.to_list result.Mapper.placement) in
+  let result = solve r c in
+  Alcotest.(check bool) "optimal search" true result.Report.proven_optimal;
+  let placed = List.sort compare (Array.to_list result.Report.placement) in
   Alcotest.(check (list int)) "uses best edge" [ 2; 3 ] placed
 
 let test_mapper_avoids_bad_readout () =
@@ -147,19 +146,19 @@ let test_mapper_avoids_bad_readout () =
   in
   let r = Reliability.of_calibration ~noise_aware:true topo cal in
   let c = circuit 2 [ G.Two (G.Cnot, 0, 1); G.Measure 0; G.Measure 1 ] in
-  let result = Mapper.solve r c in
+  let result = solve r c in
   Array.iter
     (fun h -> if h = 0 then Alcotest.fail "placed a measured qubit on bad readout")
-    result.Mapper.placement
+    result.Report.placement
 
 let test_mapper_objective_matches_evaluate () =
   let r = fig6_reliability () in
   let c =
     circuit 3 [ G.Two (G.Cnot, 0, 1); G.Two (G.Cnot, 1, 2); G.Measure 2 ]
   in
-  let result = Mapper.solve r c in
-  let min_rel, _ = Mapper.evaluate r c result.Mapper.placement in
-  Alcotest.(check (float 1e-9)) "objective consistent" result.Mapper.objective min_rel
+  let result = solve r c in
+  let min_rel, _ = Layout.Problem.evaluate (Placement.problem r c) result.Report.placement in
+  Alcotest.(check (float 1e-9)) "objective consistent" result.Report.objective min_rel
 
 let test_mapper_budget_truncation () =
   let r = fig6_reliability () in
@@ -170,10 +169,10 @@ let test_mapper_budget_truncation () =
         G.Two (G.Cnot, 3, 4); G.Two (G.Cnot, 4, 0);
       ]
   in
-  let result = Mapper.solve ~node_budget:3 r c in
-  Alcotest.(check bool) "reported truncated" false result.Mapper.optimal;
+  let result = solve ~node_budget:3 r c in
+  Alcotest.(check bool) "reported truncated" false result.Report.proven_optimal;
   (* Placement must still be a valid injective assignment. *)
-  let sorted = List.sort_uniq compare (Array.to_list result.Mapper.placement) in
+  let sorted = List.sort_uniq compare (Array.to_list result.Report.placement) in
   Alcotest.(check int) "injective" 5 (List.length sorted)
 
 (* ---------- Router ---------- *)
@@ -467,7 +466,7 @@ let test_pipeline_all_levels_visible () =
       List.iter
         (fun level ->
           let r = Pipeline.compile_level machine bv4 ~level in
-          if not (Gateset.circuit_visible machine.Device.Machine.basis r.Pipeline.hardware)
+          if not (Gateset.circuit_visible machine.Device.Machine.basis r.Triq.Compiled.hardware)
           then
             Alcotest.failf "non-visible output on %s at %s"
               machine.Device.Machine.name (Pipeline.level_name level))
@@ -486,7 +485,7 @@ let test_pipeline_two_q_on_coupled_pairs () =
               Alcotest.failf "2q gate on uncoupled pair %d,%d (%s)" a b
                 machine.Device.Machine.name
           | _ -> ())
-        r.Pipeline.hardware.Circuit.gates)
+        r.Triq.Compiled.hardware.Circuit.gates)
     [ Machines.ibmq5; Machines.ibmq14; Machines.ibmq16; Machines.agave ]
 
 let test_pipeline_cnot_direction_respected () =
@@ -499,45 +498,45 @@ let test_pipeline_cnot_direction_respected () =
         if not (Topology.has_directed_edge machine.Device.Machine.topology a b) then
           Alcotest.failf "CNOT %d->%d against hardware direction" a b
       | _ -> ())
-    r.Pipeline.hardware.Circuit.gates
+    r.Triq.Compiled.hardware.Circuit.gates
 
 let test_pipeline_umd_needs_no_swaps () =
   let r = Pipeline.compile_level Machines.umdti bv4 ~level:Pipeline.OneQOptCN in
-  Alcotest.(check int) "fully connected: zero swaps" 0 r.Pipeline.swap_count
+  Alcotest.(check int) "fully connected: zero swaps" 0 r.Triq.Compiled.swap_count
 
 let test_pipeline_opt_levels_reduce_pulses () =
   let machine = Machines.ibmq14 in
   let n = Pipeline.compile_level machine bv4 ~level:Pipeline.N in
   let o = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOpt in
   Alcotest.(check bool)
-    (Printf.sprintf "pulses %d -> %d" n.Pipeline.pulse_count o.Pipeline.pulse_count)
+    (Printf.sprintf "pulses %d -> %d" n.Triq.Compiled.pulse_count o.Triq.Compiled.pulse_count)
     true
-    (o.Pipeline.pulse_count <= n.Pipeline.pulse_count)
+    (o.Triq.Compiled.pulse_count <= n.Triq.Compiled.pulse_count)
 
 let test_pipeline_comm_opt_reduces_two_q () =
   let machine = Machines.ibmq14 in
   let o = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOpt in
   let c = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptC in
   Alcotest.(check bool)
-    (Printf.sprintf "2q %d -> %d" o.Pipeline.two_q_count c.Pipeline.two_q_count)
+    (Printf.sprintf "2q %d -> %d" o.Triq.Compiled.two_q_count c.Triq.Compiled.two_q_count)
     true
-    (c.Pipeline.two_q_count <= o.Pipeline.two_q_count)
+    (c.Triq.Compiled.two_q_count <= o.Triq.Compiled.two_q_count)
 
 let test_pipeline_esp_in_range () =
   List.iter
     (fun machine ->
       let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-      if r.Pipeline.esp <= 0.0 || r.Pipeline.esp > 1.0 then
-        Alcotest.failf "esp out of range: %f" r.Pipeline.esp)
+      if r.Triq.Compiled.esp <= 0.0 || r.Triq.Compiled.esp > 1.0 then
+        Alcotest.failf "esp out of range: %f" r.Triq.Compiled.esp)
     Machines.all
 
 let test_pipeline_readout_map () =
   let r = Pipeline.compile_level Machines.ibmq5 bv4 ~level:Pipeline.OneQOptCN in
-  Alcotest.(check int) "three readouts" 3 (List.length r.Pipeline.readout_map);
+  Alcotest.(check int) "three readouts" 3 (List.length r.Triq.Compiled.readout_map);
   List.iter
     (fun (p, h) ->
-      Alcotest.(check int) "follows final placement" r.Pipeline.final_placement.(p) h)
-    r.Pipeline.readout_map
+      Alcotest.(check int) "follows final placement" r.Triq.Compiled.final_placement.(p) h)
+    r.Triq.Compiled.readout_map
 
 let test_pipeline_rejects_oversize () =
   let big = circuit 6 [ G.One (G.H, 5) ] in
@@ -573,9 +572,9 @@ let test_pipeline_level_names () =
 let test_pipeline_semantics_small () =
   let machine = Machines.agave in
   let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-  let hw, mapping = Circuit.compact (Circuit.body r.Pipeline.hardware) in
+  let hw, mapping = Circuit.compact (Circuit.body r.Triq.Compiled.hardware) in
   (* Build expected: program body mapped through placement and compaction. *)
-  let place p = List.assoc r.Pipeline.final_placement.(p) mapping in
+  let place p = List.assoc r.Triq.Compiled.final_placement.(p) mapping in
   ignore place;
   (* Just sanity-check the compacted hardware circuit is still unitary and
      small; full distribution-level checks live in the simulator tests. *)
@@ -583,7 +582,7 @@ let test_pipeline_semantics_small () =
 
 let test_pipeline_pass_timings () =
   let r = Pipeline.compile_level Machines.ibmq14 bv4 ~level:Pipeline.OneQOptCN in
-  let names = List.map fst r.Pipeline.pass_times_s in
+  let names = List.map fst r.Triq.Compiled.pass_times_s in
   Alcotest.(check (list string)) "pass order"
     [
       "flatten"; "reliability"; "mapping"; "routing"; "swap-expansion";
@@ -592,10 +591,10 @@ let test_pipeline_pass_timings () =
     names;
   List.iter
     (fun (name, t) -> if t < 0.0 then Alcotest.failf "%s: negative time" name)
-    r.Pipeline.pass_times_s;
-  let total = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Pipeline.pass_times_s in
+    r.Triq.Compiled.pass_times_s;
+  let total = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 r.Triq.Compiled.pass_times_s in
   Alcotest.(check bool) "passes within total" true
-    (total <= r.Pipeline.compile_time_s +. 1e-6)
+    (total <= r.Triq.Compiled.compile_time_s +. 1e-6)
 
 (* ---------- Error budget ---------- *)
 
@@ -603,20 +602,20 @@ let test_error_budget_multiplies_to_esp () =
   List.iter
     (fun machine ->
       let r = Pipeline.compile_level machine bv4 ~level:Pipeline.OneQOptCN in
-      let budget = Triq.Compiled.budget_of (Pipeline.to_compiled r) in
+      let budget = Triq.Compiled.budget_of r in
       let product =
         budget.Triq.Compiled.two_q *. budget.Triq.Compiled.one_q
         *. budget.Triq.Compiled.readout
       in
       Alcotest.(check (float 1e-9)) (machine.Device.Machine.name ^ " product = esp")
-        r.Pipeline.esp product)
+        r.Triq.Compiled.esp product)
     [ Machines.ibmq5; Machines.agave; Machines.umdti ]
 
 let test_error_budget_two_q_dominates () =
   (* On superconducting machines, 2Q gates are the dominant loss for BV4
      (the paper's "2Q and RO operations dominate error rates"). *)
   let r = Pipeline.compile_level Machines.ibmq14 bv4 ~level:Pipeline.OneQOptCN in
-  let b = Triq.Compiled.budget_of (Pipeline.to_compiled r) in
+  let b = Triq.Compiled.budget_of r in
   Alcotest.(check bool) "2q loss largest" true
     (b.Triq.Compiled.two_q < b.Triq.Compiled.one_q);
   Alcotest.(check bool) "2q below readout" true
