@@ -211,8 +211,8 @@ let with_trace (trace, fmt_name) k =
 let print_stats (r : Triq.Compiled.t) =
   Printf.eprintf
     "; %s on %s (day %d): 2Q=%d, pulses=%d, swaps=%d, ESP=%.4f, compile=%.3fs\n"
-    r.Triq.Compiled.compiler r.Triq.Compiled.machine.Device.Machine.name r.Triq.Compiled.day
-    r.Triq.Compiled.two_q_count r.Triq.Compiled.pulse_count
+    r.Triq.Compiled.compiler r.Triq.Compiled.machine.Device.Machine.name
+    r.Triq.Compiled.day r.Triq.Compiled.two_q_count r.Triq.Compiled.pulse_count
     r.Triq.Compiled.swap_count r.Triq.Compiled.esp r.Triq.Compiled.compile_time_s
 
 let compile_common file machine_name level_name =
@@ -461,7 +461,8 @@ let sweep_cmd =
             match spec with
             | None -> "n/a"
             | Some spec ->
-              Printf.sprintf "%.3f" (Sim.Runner.simulate compiled spec).Sim.Runner.success_rate
+              Printf.sprintf "%.3f"
+                (Sim.Runner.simulate compiled spec).Sim.Runner.success_rate
           in
           Printf.printf "%-14s %6d %8d %6d %8.4f %10s\n"
             (Triq.Pipeline.level_name level)

@@ -6,8 +6,8 @@
 
     Every solve runs inside a [layout.solve] span; the cache maintains
     [layout.cache.hits]/[.misses]/[.evictions] counters. With the default
-    config (B&B strategy, cache on) the returned placement is
-    {!Layout.Bb.solve}'s on {!problem}. *)
+    config (B&B strategy, cache on) the returned placement is the one
+    [Layout.Bb.solve (problem reliability circuit)] finds. *)
 
 (** [interactions c] aggregates the program's 2Q operations as
     [((a, b), count)] pairs over program qubits, with (a, b) in first-seen

@@ -1,6 +1,7 @@
 (* Branch-and-bound placement search.
 
-   The paper's max-min search over Problem.t, extended with two additional *sound* pruning devices:
+   The paper's max-min search over Problem.t, extended with two
+   additional *sound* pruning devices:
 
    - a memoized partial-assignment bound: per-qubit optimistic caps
      (precomputed once from row maxima of the score model) folded into
