@@ -260,6 +260,97 @@ let test_emit_dispatch () =
       if String.length text < 20 then Alcotest.fail "suspiciously short executable")
     Machines.all
 
+(* ---------- Golden digest ---------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Signed zeros, multiples of pi, a tiny, a subnormal, a huge and an
+   exactly representable angle: the cases where %.17g output is easiest
+   to get wrong. *)
+let golden_angles =
+  [ 0.; -0.; Float.pi; -.Float.pi; -.Float.pi /. 2.0; 1e-7; 5e-324; 1e22; 2. ]
+
+(* Every Ir.Gate constructor; the parameterized ones once per angle. *)
+let every_constructor =
+  Circuit.create 3
+    (List.concat_map
+       (fun t ->
+         [
+           G.One (G.Rx t, 0);
+           G.One (G.Ry t, 1);
+           G.One (G.Rz t, 2);
+           G.One (G.Rxy (t, -.t), 0);
+           G.One (G.U1 t, 1);
+           G.One (G.U2 (t, 2.), 2);
+           G.One (G.U3 (t, 1e22, -.t), 0);
+           G.Two (G.Xx t, 0, 1);
+         ])
+       golden_angles
+    @ G.
+        [
+          One (X, 0); One (Y, 1); One (Z, 2); One (H, 0); One (S, 1); One (Sdg, 2);
+          One (T, 0); One (Tdg, 1); Two (Cnot, 0, 1); Two (Cz, 1, 2); Two (Swap, 2, 0);
+          Two (Iswap, 0, 2); Ccx (0, 1, 2); Cswap (2, 0, 1); Measure 1; Measure 0;
+          Measure 2;
+        ])
+
+(* [emit_circuit] on the gates its vendor accepts, then the rejection
+   message for the whole circuit. *)
+let vendor_text emit visible =
+  let c = every_constructor in
+  let accepted = Circuit.create c.Circuit.n_qubits (List.filter visible c.Circuit.gates) in
+  emit accepted
+  ^ match emit c with _ -> "accepted" | exception Invalid_argument m -> m
+
+let emitted_digests () =
+  let executables =
+    let b = Buffer.create (1 lsl 20) in
+    List.iter
+      (fun (p : Bench_kit.Programs.t) ->
+        List.iter
+          (fun m ->
+            if Device.Machine.fits m p.circuit then
+              List.iter
+                (fun level ->
+                  Buffer.add_string b
+                    (Backend.Emit.executable (Pipeline.compile_level m p.circuit ~level)))
+                Pipeline.all_levels)
+          Machines.all)
+      Bench_kit.Programs.all;
+    Buffer.contents b
+  in
+  [
+    ("executables", md5 executables);
+    ("emit_program", md5 (Backend.Qasm_emit.emit_program ~name:"every" every_constructor));
+    ( "qasm emit_circuit",
+      md5
+        (vendor_text (Backend.Qasm_emit.emit_circuit ~n_qubits:3 ~name:"every") (function
+          | G.One ((G.U1 _ | G.U2 _ | G.U3 _), _) | G.Two (G.Cnot, _, _) | G.Measure _ -> true
+          | _ -> false)) );
+    ( "quil emit_circuit",
+      md5
+        (vendor_text (Backend.Quil_emit.emit_circuit ~name:"every") (function
+          | G.One ((G.Rz _ | G.Rx _), _) | G.Two ((G.Cz | G.Iswap), _, _) | G.Measure _ -> true
+          | _ -> false)) );
+    ( "ti emit_circuit",
+      md5
+        (vendor_text (Backend.Ti_emit.emit_circuit ~name:"every") (function
+          | G.One ((G.Rxy _ | G.Rz _), _) | G.Two (G.Xx _, _, _) | G.Measure _ -> true
+          | _ -> false)) );
+  ]
+
+let test_emitted_golden_digest () =
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("executables", "4b1f524e5d311322ae4cccaa792de1af");
+      ("emit_program", "eaa7d9728d55cd1a2eec6a87e7e6bf53");
+      ("qasm emit_circuit", "899060fcf79a22f003163961fdc2e6cc");
+      ("quil emit_circuit", "43bfdabd84f1bb8bfae0cda7005830a4");
+      ("ti emit_circuit", "43b0338f4d95a324cdc2a59960ab5be2");
+    ]
+    (emitted_digests ())
+
 let () =
   Alcotest.run "backend"
     [
@@ -298,5 +389,9 @@ let () =
           Alcotest.test_case "ti whitespace/sci-notation" `Quick
             test_ti_whitespace_dialects;
         ] );
-      ("dispatch", [ Alcotest.test_case "all machines" `Quick test_emit_dispatch ]);
+      ( "dispatch",
+        [
+          Alcotest.test_case "all machines" `Quick test_emit_dispatch;
+          Alcotest.test_case "emitted text golden digest" `Quick test_emitted_golden_digest;
+        ] );
     ]

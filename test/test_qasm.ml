@@ -166,6 +166,48 @@ let test_errors () =
   expect_error (header ^ "qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[0];")
     "measured twice"
 
+(* Exact (message, line) of each error. Every source holds a single
+   error, so the report does not depend on when the lexer reaches it. *)
+let error_locations =
+  [
+    ("unterminated string", header ^ "qreg q[1];\ninclude \"other.inc;\n");
+    ("unterminated multi-line string", header ^ "include \"a\nb\nc;\nqreg q[1];\n");
+    ( "unexpected character after comments",
+      header ^ "// a comment\n// another @ comment\nqreg q[1];\nh q[0]; @\n" );
+    ( "unexpected character after CRLF and tabs",
+      "OPENQASM 2.0;\r\n\tqreg q[1];\r\n\r\n\th\tq[0] $;\r\n" );
+    ("real with bare exponent", header ^ "qreg q[1];\nu1(1e) q[0];\n");
+    ("real with two dots", header ^ "qreg q[1];\n\nu1(1.2.3) q[0];\n");
+    ("integer overflow", header ^ "qreg q[99999999999999999999];\n");
+    ("integer one past max_int", header ^ "\nqreg q[4611686018427387904];\n");
+    ("expected ]", header ^ "qreg q[2;\n");
+    ("unterminated gate body", header ^ "gate g a {\n  h a;\n  x a;\n");
+    ("unknown gate", header ^ "qreg q[2];\nh q[0];\n\nfrob q[0];\n");
+  ]
+
+let test_error_locations () =
+  let outcome src =
+    match parse src with
+    | exception F.Error (msg, line) -> (msg, line)
+    | _ -> ("no error", 0)
+  in
+  Alcotest.(check (list (pair string (pair string int))))
+    "(message, line)"
+    [
+      ("unterminated string", ("unterminated string", 5));
+      ("unterminated multi-line string", ("unterminated string", 7));
+      ("unexpected character after comments", ("unexpected character '@'", 6));
+      ("unexpected character after CRLF and tabs", ("unexpected character '$'", 4));
+      ("real with bare exponent", ("bad real literal \"1e\"", 4));
+      ("real with two dots", ("bad real literal \"1.2.3\"", 5));
+      ("integer overflow", ("bad integer literal \"99999999999999999999\"", 3));
+      ("integer one past max_int", ("bad integer literal \"4611686018427387904\"", 4));
+      ("expected ]", ("expected ']'", 3));
+      ("unterminated gate body", ("unterminated gate body", 6));
+      ("unknown gate", ("unknown gate \"frob\"", 6));
+    ]
+    (List.map (fun (label, src) -> (label, outcome src)) error_locations)
+
 (* ---------- Agreement with Scaffold front end ---------- *)
 
 let test_matches_scaffold_bv4 () =
@@ -261,7 +303,11 @@ let () =
           Alcotest.test_case "nesting" `Quick test_nested_user_gates;
           Alcotest.test_case "semantics" `Quick test_user_gate_semantics;
         ] );
-      ("errors", [ Alcotest.test_case "diagnostics" `Quick test_errors ]);
+      ( "errors",
+        [
+          Alcotest.test_case "diagnostics" `Quick test_errors;
+          Alcotest.test_case "error locations" `Quick test_error_locations;
+        ] );
       ( "integration",
         [
           Alcotest.test_case "matches scaffold bv4" `Quick test_matches_scaffold_bv4;
