@@ -1,108 +1,181 @@
-let angle fmt_buf a = Buffer.add_string fmt_buf (Printf.sprintf "%.17g" a)
+module T = Text_out
 
-let render buf ~n_qubits ~header (gates : Ir.Gate.t list) =
-  Buffer.add_string buf "OPENQASM 2.0;\n";
-  Buffer.add_string buf "include \"qelib1.inc\";\n";
-  Buffer.add_string buf header;
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" n_qubits);
-  let n_measures = List.length (List.filter Ir.Gate.is_measure gates) in
-  if n_measures > 0 then Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
+let qubit out q =
+  T.string out "q[";
+  T.int out q;
+  T.char out ']'
+
+let measures gates = List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates
+
+(* The preamble up to the header comment's text, which the caller
+   writes. *)
+let preamble gates =
+  let out = T.create ~gates:(List.length gates) in
+  T.string out "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n// ";
+  out
+
+let declare out ~n_qubits gates =
+  T.string out "\nqreg q[";
+  T.int out n_qubits;
+  T.string out "];\n";
+  let n = measures gates in
+  if n > 0 then begin
+    T.string out "creg c[";
+    T.int out n;
+    T.string out "];\n"
+  end
+
+let measure out q cbit =
+  T.string out "measure ";
+  qubit out q;
+  T.string out " -> c[";
+  T.int out cbit;
+  T.string out "];\n"
+
+let render out ~n_qubits (gates : Ir.Gate.t list) =
+  declare out ~n_qubits gates;
   let next_cbit = ref 0 in
   List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
+    (fun (g : Ir.Gate.t) ->
+      match g with
       | One (U1 l, q) ->
-        Buffer.add_string buf "u1(";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
+        T.string out "u1(";
+        T.angle out l;
+        T.string out ") ";
+        qubit out q;
+        T.string out ";\n"
       | One (U2 (p, l), q) ->
-        Buffer.add_string buf "u2(";
-        angle buf p;
-        Buffer.add_string buf ",";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
+        T.string out "u2(";
+        T.angle out p;
+        T.char out ',';
+        T.angle out l;
+        T.string out ") ";
+        qubit out q;
+        T.string out ";\n"
       | One (U3 (t, p, l), q) ->
-        Buffer.add_string buf "u3(";
-        angle buf t;
-        Buffer.add_string buf ",";
-        angle buf p;
-        Buffer.add_string buf ",";
-        angle buf l;
-        Buffer.add_string buf (Printf.sprintf ") q[%d];" q)
-      | Two (Cnot, a, b) -> Buffer.add_string buf (Printf.sprintf "cx q[%d],q[%d];" a b)
+        T.string out "u3(";
+        T.angle out t;
+        T.char out ',';
+        T.angle out p;
+        T.char out ',';
+        T.angle out l;
+        T.string out ") ";
+        qubit out q;
+        T.string out ";\n"
+      | Two (Cnot, a, b) ->
+        T.string out "cx ";
+        qubit out a;
+        T.char out ',';
+        qubit out b;
+        T.string out ";\n"
       | Measure q ->
-        Buffer.add_string buf (Printf.sprintf "measure q[%d] -> c[%d];" q !next_cbit);
+        measure out q !next_cbit;
         incr next_cbit
       | other ->
         invalid_arg
           (Printf.sprintf "Qasm_emit: gate %s is not IBM software-visible"
-             (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
-    gates
+             (Ir.Gate.to_string other)))
+    gates;
+  T.contents out
 
 let emit_circuit ~n_qubits ~name (c : Ir.Circuit.t) =
-  let buf = Buffer.create 1024 in
-  render buf ~n_qubits ~header:(Printf.sprintf "// %s\n" name) c.Ir.Circuit.gates;
-  Buffer.contents buf
+  let out = preamble c.Ir.Circuit.gates in
+  T.string out name;
+  render out ~n_qubits c.Ir.Circuit.gates
 
 let emit (compiled : Triq.Compiled.t) =
   if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Ibm_visible
   then invalid_arg "Qasm_emit.emit: executable is not in IBM form";
-  let header =
-    Printf.sprintf "// target: %s, compiler: %s, calibration day %d\n"
-      compiled.Triq.Compiled.machine.Device.Machine.name
-      compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day
-  in
-  let buf = Buffer.create 1024 in
-  render buf
-    ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine)
-    ~header compiled.Triq.Compiled.hardware.Ir.Circuit.gates;
-  Buffer.contents buf
+  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
+  let out = preamble gates in
+  T.target out compiled;
+  render out ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine) gates
 
 let emit_program ~name (c : Ir.Circuit.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-  Buffer.add_string buf (Printf.sprintf "// %s\n" name);
-  Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" c.Ir.Circuit.n_qubits);
-  let n_measures = Ir.Circuit.measure_count c in
-  if n_measures > 0 then
-    Buffer.add_string buf (Printf.sprintf "creg c[%d];\n" n_measures);
+  let out = preamble c.Ir.Circuit.gates in
+  T.string out name;
+  declare out ~n_qubits:c.Ir.Circuit.n_qubits c.Ir.Circuit.gates;
   let next_cbit = ref 0 in
-  let q i = Printf.sprintf "q[%d]" i in
-  let line s = Buffer.add_string buf (s ^ ";\n") in
+  let gate name a =
+    T.string out name;
+    T.char out ' ';
+    qubit out a;
+    T.string out ";\n"
+  in
+  let gate2 name a b =
+    T.string out name;
+    T.char out ' ';
+    qubit out a;
+    T.char out ',';
+    qubit out b;
+    T.string out ";\n"
+  in
+  let gate3 name a b c =
+    T.string out name;
+    T.char out ' ';
+    qubit out a;
+    T.char out ',';
+    qubit out b;
+    T.char out ',';
+    qubit out c;
+    T.string out ";\n"
+  in
+  (* The tail of [name(angles) q[a];]. *)
+  let close a =
+    T.string out ") ";
+    qubit out a;
+    T.string out ";\n"
+  in
+  let rotation name t a =
+    T.string out name;
+    T.char out '(';
+    T.angle out t;
+    close a
+  in
   let rec emit_gate (g : Ir.Gate.t) =
     match g with
-    | One (X, a) -> line (Printf.sprintf "x %s" (q a))
-    | One (Y, a) -> line (Printf.sprintf "y %s" (q a))
-    | One (Z, a) -> line (Printf.sprintf "z %s" (q a))
-    | One (H, a) -> line (Printf.sprintf "h %s" (q a))
-    | One (S, a) -> line (Printf.sprintf "s %s" (q a))
-    | One (Sdg, a) -> line (Printf.sprintf "sdg %s" (q a))
-    | One (T, a) -> line (Printf.sprintf "t %s" (q a))
-    | One (Tdg, a) -> line (Printf.sprintf "tdg %s" (q a))
-    | One (Rx t, a) -> line (Printf.sprintf "rx(%.17g) %s" t (q a))
-    | One (Ry t, a) -> line (Printf.sprintf "ry(%.17g) %s" t (q a))
-    | One (Rz t, a) -> line (Printf.sprintf "rz(%.17g) %s" t (q a))
-    | One (U1 l, a) -> line (Printf.sprintf "u1(%.17g) %s" l (q a))
-    | One (U2 (p, l), a) -> line (Printf.sprintf "u2(%.17g,%.17g) %s" p l (q a))
+    | One (X, a) -> gate "x" a
+    | One (Y, a) -> gate "y" a
+    | One (Z, a) -> gate "z" a
+    | One (H, a) -> gate "h" a
+    | One (S, a) -> gate "s" a
+    | One (Sdg, a) -> gate "sdg" a
+    | One (T, a) -> gate "t" a
+    | One (Tdg, a) -> gate "tdg" a
+    | One (Rx t, a) -> rotation "rx" t a
+    | One (Ry t, a) -> rotation "ry" t a
+    | One (Rz t, a) -> rotation "rz" t a
+    | One (U1 l, a) -> rotation "u1" l a
+    | One (U2 (p, l), a) ->
+      T.string out "u2(";
+      T.angle out p;
+      T.char out ',';
+      T.angle out l;
+      close a
     | One (U3 (t, p, l), a) ->
-      line (Printf.sprintf "u3(%.17g,%.17g,%.17g) %s" t p l (q a))
+      T.string out "u3(";
+      T.angle out t;
+      T.char out ',';
+      T.angle out p;
+      T.char out ',';
+      T.angle out l;
+      close a
     | One (Rxy (t, p), a) ->
       (* Rxy(t, p) = Rz(p) . Rx(t) . Rz(-p) as a matrix product: apply
          Rz(-p) first in circuit order. *)
-      emit_gate (Ir.Gate.One (Ir.Gate.Rz (-.p), a));
-      emit_gate (Ir.Gate.One (Ir.Gate.Rx t, a));
-      emit_gate (Ir.Gate.One (Ir.Gate.Rz p, a))
-    | Two (Cnot, a, b) -> line (Printf.sprintf "cx %s,%s" (q a) (q b))
-    | Two (Cz, a, b) -> line (Printf.sprintf "cz %s,%s" (q a) (q b))
-    | Two (Swap, a, b) -> line (Printf.sprintf "swap %s,%s" (q a) (q b))
+      rotation "rz" (-.p) a;
+      rotation "rx" t a;
+      rotation "rz" p a
+    | Two (Cnot, a, b) -> gate2 "cx" a b
+    | Two (Cz, a, b) -> gate2 "cz" a b
+    | Two (Swap, a, b) -> gate2 "swap" a b
     | Two (Xx chi, a, b) -> List.iter emit_gate (Ir.Decompose.xx_gates chi a b)
     | Two (Iswap, a, b) -> List.iter emit_gate (Ir.Decompose.iswap a b)
-    | Ccx (a, b, t) -> line (Printf.sprintf "ccx %s,%s,%s" (q a) (q b) (q t))
-    | Cswap (cc, a, b) -> line (Printf.sprintf "cswap %s,%s,%s" (q cc) (q a) (q b))
+    | Ccx (a, b, t) -> gate3 "ccx" a b t
+    | Cswap (cc, a, b) -> gate3 "cswap" cc a b
     | Measure a ->
-      line (Printf.sprintf "measure %s -> c[%d]" (q a) !next_cbit);
+      measure out a !next_cbit;
       incr next_cbit
   in
   List.iter emit_gate c.Ir.Circuit.gates;
-  Buffer.contents buf
+  T.contents out

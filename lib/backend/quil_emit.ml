@@ -1,37 +1,67 @@
-let render ~name (gates : Ir.Gate.t list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "# %s\n" name);
-  let measures = List.filter Ir.Gate.is_measure gates in
-  if measures <> [] then
-    Buffer.add_string buf (Printf.sprintf "DECLARE ro BIT[%d]\n" (List.length measures));
+module T = Text_out
+
+let render out (gates : Ir.Gate.t list) =
+  T.char out '\n';
+  let measures = List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates in
+  if measures > 0 then begin
+    T.string out "DECLARE ro BIT[";
+    T.int out measures;
+    T.string out "]\n"
+  end;
   let next_cbit = ref 0 in
   List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
-      | One (Rz theta, q) -> Buffer.add_string buf (Printf.sprintf "RZ(%.17g) %d" theta q)
-      | One (Rx theta, q) -> Buffer.add_string buf (Printf.sprintf "RX(%.17g) %d" theta q)
-      | Two (Cz, a, b) -> Buffer.add_string buf (Printf.sprintf "CZ %d %d" a b)
-      | Two (Iswap, a, b) -> Buffer.add_string buf (Printf.sprintf "ISWAP %d %d" a b)
+    (fun (g : Ir.Gate.t) ->
+      (match g with
+      | One (Rz theta, q) ->
+        T.string out "RZ(";
+        T.angle out theta;
+        T.string out ") ";
+        T.int out q
+      | One (Rx theta, q) ->
+        T.string out "RX(";
+        T.angle out theta;
+        T.string out ") ";
+        T.int out q
+      | Two (Cz, a, b) ->
+        T.string out "CZ ";
+        T.int out a;
+        T.char out ' ';
+        T.int out b
+      | Two (Iswap, a, b) ->
+        T.string out "ISWAP ";
+        T.int out a;
+        T.char out ' ';
+        T.int out b
       | Measure q ->
-        Buffer.add_string buf (Printf.sprintf "MEASURE %d ro[%d]" q !next_cbit);
+        T.string out "MEASURE ";
+        T.int out q;
+        T.string out " ro[";
+        T.int out !next_cbit;
+        T.char out ']';
         incr next_cbit
       | other ->
         invalid_arg
           (Printf.sprintf "Quil_emit: gate %s is not Rigetti software-visible"
              (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
+      T.char out '\n')
     gates;
-  Buffer.contents buf
+  T.contents out
 
-let emit_circuit ~name (c : Ir.Circuit.t) = render ~name c.Ir.Circuit.gates
+let header gates =
+  let out = T.create ~gates:(List.length gates) in
+  T.string out "# ";
+  out
+
+let emit_circuit ~name (c : Ir.Circuit.t) =
+  let out = header c.Ir.Circuit.gates in
+  T.string out name;
+  render out c.Ir.Circuit.gates
 
 let emit (compiled : Triq.Compiled.t) =
   (match compiled.Triq.Compiled.machine.Device.Machine.basis with
   | Device.Gateset.Rigetti_visible | Device.Gateset.Rigetti_parametric_visible -> ()
   | _ -> invalid_arg "Quil_emit.emit: executable is not in Rigetti form");
-  render
-    ~name:
-      (Printf.sprintf "target: %s, compiler: %s, calibration day %d"
-         compiled.Triq.Compiled.machine.Device.Machine.name
-         compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day)
-    compiled.Triq.Compiled.hardware.Ir.Circuit.gates
+  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
+  let out = header gates in
+  T.target out compiled;
+  render out gates

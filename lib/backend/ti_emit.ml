@@ -1,31 +1,54 @@
-let render ~name (gates : Ir.Gate.t list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "; %s\n" name);
+module T = Text_out
+
+let render out (gates : Ir.Gate.t list) =
+  T.char out '\n';
   List.iter
-    (fun g ->
-      (match (g : Ir.Gate.t) with
+    (fun (g : Ir.Gate.t) ->
+      (match g with
       | One (Rxy (theta, phi), q) ->
-        Buffer.add_string buf (Printf.sprintf "R   %d %.17g %.17g" q theta phi)
-      | One (Rz lambda, q) -> Buffer.add_string buf (Printf.sprintf "RZ  %d %.17g" q lambda)
+        T.string out "R   ";
+        T.int out q;
+        T.char out ' ';
+        T.angle out theta;
+        T.char out ' ';
+        T.angle out phi
+      | One (Rz lambda, q) ->
+        T.string out "RZ  ";
+        T.int out q;
+        T.char out ' ';
+        T.angle out lambda
       | Two (Xx chi, a, b) ->
-        Buffer.add_string buf (Printf.sprintf "XX  %d %d %.17g" a b chi)
-      | Measure q -> Buffer.add_string buf (Printf.sprintf "MEAS %d" q)
+        T.string out "XX  ";
+        T.int out a;
+        T.char out ' ';
+        T.int out b;
+        T.char out ' ';
+        T.angle out chi
+      | Measure q ->
+        T.string out "MEAS ";
+        T.int out q
       | other ->
         invalid_arg
           (Printf.sprintf "Ti_emit: gate %s is not UMD software-visible"
              (Ir.Gate.to_string other)));
-      Buffer.add_char buf '\n')
+      T.char out '\n')
     gates;
-  Buffer.contents buf
+  T.contents out
 
-let emit_circuit ~name (c : Ir.Circuit.t) = render ~name c.Ir.Circuit.gates
+let header gates =
+  let out = T.create ~gates:(List.length gates) in
+  T.string out "; ";
+  out
+
+let emit_circuit ~name (c : Ir.Circuit.t) =
+  let out = header c.Ir.Circuit.gates in
+  T.string out name;
+  render out c.Ir.Circuit.gates
 
 let emit (compiled : Triq.Compiled.t) =
   if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Umd_visible
   then invalid_arg "Ti_emit.emit: executable is not in UMD form";
-  render
-    ~name:
-      (Printf.sprintf "target: %s, compiler: %s, calibration day %d"
-         compiled.Triq.Compiled.machine.Device.Machine.name
-         compiled.Triq.Compiled.compiler compiled.Triq.Compiled.day)
-    compiled.Triq.Compiled.hardware.Ir.Circuit.gates
+  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
+  let out = header gates in
+  T.target out compiled;
+  render out gates

@@ -58,9 +58,14 @@ let map_qubits f g =
     invalid_arg "Gate.map_qubits: renaming collapsed operands";
   g'
 
+let in_range n q = q >= 0 && q < n
+
 let valid_on n g =
-  let qs = qubits g in
-  List.for_all (fun q -> q >= 0 && q < n) qs && distinct qs
+  match g with
+  | One (_, q) | Measure q -> in_range n q
+  | Two (_, a, b) -> in_range n a && in_range n b && a <> b
+  | Ccx (a, b, c) | Cswap (a, b, c) ->
+    in_range n a && in_range n b && in_range n c && a <> b && a <> c && b <> c
 
 let half_pi = Float.pi /. 2.0
 

@@ -8,120 +8,141 @@ type token =
   | Ident of string
   | Real of float
   | Nat of int
-  | Str of string
-  | Sym of char  (** ; , ( ) { } [ ] + - * / ^ *)
+  | Str  (** a string literal; only [include] takes one, and ignores it *)
+  | Sym of char  (** ; , ( ) { } [ ] + - * / ^ = ! < > *)
   | Arrow
   | Eof
 
-type ltoken = { tok : token; line : int }
+(* A pull lexer with one token of lookahead. [tok] is the current token;
+   [advance] consumes it, and the next one is scanned only when the
+   parser reads [current]. A statement is therefore elaborated before
+   the token after its ';' is scanned, and the first error in source
+   order is the one reported. *)
+type state = {
+  src : string;
+  mutable pos : int;  (** first unscanned byte *)
+  mutable line : int;  (** line of [pos] *)
+  mutable tok : token;
+  mutable tok_line : int;  (** line where [tok] ends *)
+  mutable consumed : bool;  (** [tok] was consumed; scan before reading *)
+}
 
-let tokenize src =
-  let pos = ref 0 and line = ref 1 in
-  let n = String.length src in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () =
-    (if !pos < n && src.[!pos] = '\n' then incr line);
-    incr pos
+let sym_tokens = Array.init 256 (fun i -> Sym (Char.chr i))
+
+let is_digit c = c >= '0' && c <= '9'
+let is_ident c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || is_digit c
+
+(* The byte at [i], or NUL past the end (NUL is never valid input). *)
+let byte st i = if i < String.length st.src then String.unsafe_get st.src i else '\000'
+
+let rec skip_blanks st =
+  match byte st st.pos with
+  | ' ' | '\t' | '\r' ->
+    st.pos <- st.pos + 1;
+    skip_blanks st
+  | '\n' ->
+    st.pos <- st.pos + 1;
+    st.line <- st.line + 1;
+    skip_blanks st
+  | '/' when byte st (st.pos + 1) = '/' ->
+    while st.pos < String.length st.src && String.unsafe_get st.src st.pos <> '\n' do
+      st.pos <- st.pos + 1
+    done;
+    skip_blanks st
+  | _ -> ()
+
+(* Digits, '.', 'e'/'E' and a sign right after an exponent marker; a '.'
+   or an exponent makes the literal a real. Naturals are accumulated
+   from the digits; only reals and errors take a substring. *)
+let rec scan_number st start i nat overflow is_real =
+  match byte st i with
+  | '0' .. '9' as c ->
+    let d = Char.code c - 48 in
+    if nat > (max_int - d) / 10 then scan_number st start (i + 1) nat true is_real
+    else scan_number st start (i + 1) ((nat * 10) + d) overflow is_real
+  | '.' | 'e' | 'E' -> scan_number st start (i + 1) nat overflow true
+  | ('+' | '-') when i > start && (byte st (i - 1) = 'e' || byte st (i - 1) = 'E') ->
+    scan_number st start (i + 1) nat overflow is_real
+  | _ ->
+    st.pos <- i;
+    if is_real then begin
+      let text = String.sub st.src start (i - start) in
+      match float_of_string_opt text with
+      | Some f -> Real f
+      | None -> fail st.line "bad real literal %S" text
+    end
+    else if overflow then
+      fail st.line "bad integer literal %S" (String.sub st.src start (i - start))
+    else Nat nat
+
+let scan_string st =
+  let i = ref (st.pos + 1) in
+  while !i < String.length st.src && String.unsafe_get st.src !i <> '"' do
+    if String.unsafe_get st.src !i = '\n' then st.line <- st.line + 1;
+    incr i
+  done;
+  if !i >= String.length st.src then fail st.line "unterminated string";
+  st.pos <- !i + 1;
+  Str
+
+let scan_ident st =
+  let start = st.pos in
+  let i = ref (start + 1) in
+  while is_ident (byte st !i) do
+    incr i
+  done;
+  st.pos <- !i;
+  Ident (String.sub st.src start (!i - start))
+
+let scan st =
+  skip_blanks st;
+  let tok =
+    if st.pos >= String.length st.src then Eof
+    else
+      match String.unsafe_get st.src st.pos with
+      | '"' -> scan_string st
+      | '-' when byte st (st.pos + 1) = '>' ->
+        st.pos <- st.pos + 2;
+        Arrow
+      | '0' .. '9' -> scan_number st st.pos st.pos 0 false false
+      | '.' when is_digit (byte st (st.pos + 1)) -> scan_number st st.pos st.pos 0 false false
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> scan_ident st
+      | ( ';' | ',' | '(' | ')' | '{' | '}' | '[' | ']' | '+' | '-' | '*' | '/' | '^' | '='
+        | '!' | '<' | '>' ) as c ->
+        st.pos <- st.pos + 1;
+        Array.unsafe_get sym_tokens (Char.code c)
+      | c -> fail st.line "unexpected character %C" c
   in
-  let out = ref [] in
-  let emit tok = out := { tok; line = !line } :: !out in
-  let is_digit c = c >= '0' && c <= '9' in
-  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
-  let is_ident c = is_ident_start c || is_digit c in
-  let rec go () =
-    match peek () with
-    | None -> emit Eof
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance ();
-      go ()
-    | Some '/' when !pos + 1 < n && src.[!pos + 1] = '/' ->
-      while peek () <> None && peek () <> Some '\n' do
-        advance ()
-      done;
-      go ()
-    | Some '"' ->
-      advance ();
-      let start = !pos in
-      while peek () <> None && peek () <> Some '"' do
-        advance ()
-      done;
-      if peek () = None then fail !line "unterminated string";
-      emit (Str (String.sub src start (!pos - start)));
-      advance ();
-      go ()
-    | Some '-' when !pos + 1 < n && src.[!pos + 1] = '>' ->
-      advance ();
-      advance ();
-      emit Arrow;
-      go ()
-    | Some c when is_digit c || (c = '.' && !pos + 1 < n && is_digit src.[!pos + 1]) ->
-      let start = !pos in
-      let is_real = ref false in
-      while
-        match peek () with
-        | Some c when is_digit c -> true
-        | Some ('.' | 'e' | 'E') ->
-          is_real := true;
-          true
-        | Some ('+' | '-')
-          when !pos > start && (src.[!pos - 1] = 'e' || src.[!pos - 1] = 'E') ->
-          true
-        | _ -> false
-      do
-        advance ()
-      done;
-      let text = String.sub src start (!pos - start) in
-      (if !is_real then
-         match float_of_string_opt text with
-         | Some f -> emit (Real f)
-         | None -> fail !line "bad real literal %S" text
-       else
-         match int_of_string_opt text with
-         | Some i -> emit (Nat i)
-         | None -> fail !line "bad integer literal %S" text);
-      go ()
-    | Some c when is_ident_start c ->
-      let start = !pos in
-      while (match peek () with Some c -> is_ident c | None -> false) do
-        advance ()
-      done;
-      emit (Ident (String.sub src start (!pos - start)));
-      go ()
-    | Some (( ';' | ',' | '(' | ')' | '{' | '}' | '[' | ']' | '+' | '-' | '*' | '/'
-            | '^' | '=' | '!' | '<' | '>' ) as c) ->
-      advance ();
-      emit (Sym c);
-      go ()
-    | Some c -> fail !line "unexpected character %C" c
-  in
-  go ();
-  List.rev !out
+  st.tok <- tok;
+  st.tok_line <- st.line;
+  st.consumed <- false
 
-(* ---------- Parser state ---------- *)
-
-type state = { mutable tokens : ltoken list }
-
-let current st = match st.tokens with t :: _ -> t | [] -> assert false
+let current st =
+  if st.consumed then scan st;
+  st.tok
 
 let advance st =
-  match st.tokens with _ :: ((_ :: _) as rest) -> st.tokens <- rest | _ -> ()
+  if st.consumed then scan st;
+  match st.tok with Eof -> () | _ -> st.consumed <- true
 
-let cur_line st = (current st).line
+let cur_line st =
+  if st.consumed then scan st;
+  st.tok_line
 
 let expect_sym st c =
-  match (current st).tok with
+  match current st with
   | Sym x when x = c -> advance st
   | _ -> fail (cur_line st) "expected %C" c
 
 let expect_ident st =
-  match (current st).tok with
+  match current st with
   | Ident name ->
     advance st;
     name
   | _ -> fail (cur_line st) "expected an identifier"
 
 let expect_nat st =
-  match (current st).tok with
+  match current st with
   | Nat v ->
     advance st;
     v
@@ -140,7 +161,7 @@ let rec parse_expr st = parse_add st
 
 and parse_add st =
   let lhs = parse_mul st in
-  match (current st).tok with
+  match current st with
   | Sym ('+' as op) | Sym ('-' as op) ->
     advance st;
     let rhs = parse_add_chain st (Bin (op, lhs, parse_mul st)) in
@@ -148,7 +169,7 @@ and parse_add st =
   | _ -> lhs
 
 and parse_add_chain st lhs =
-  match (current st).tok with
+  match current st with
   | Sym ('+' as op) | Sym ('-' as op) ->
     advance st;
     parse_add_chain st (Bin (op, lhs, parse_mul st))
@@ -159,7 +180,7 @@ and parse_mul st =
   parse_mul_chain st lhs
 
 and parse_mul_chain st lhs =
-  match (current st).tok with
+  match current st with
   | Sym ('*' as op) | Sym ('/' as op) ->
     advance st;
     parse_mul_chain st (Bin (op, lhs, parse_pow st))
@@ -167,14 +188,14 @@ and parse_mul_chain st lhs =
 
 and parse_pow st =
   let lhs = parse_atom st in
-  match (current st).tok with
+  match current st with
   | Sym '^' ->
     advance st;
     Bin ('^', lhs, parse_pow st)
   | _ -> lhs
 
 and parse_atom st =
-  match (current st).tok with
+  match current st with
   | Real f ->
     advance st;
     Num f
@@ -232,7 +253,7 @@ type gate_def = { g_params : string list; g_qubits : string list; g_body : gate_
 
 let parse_arg st =
   let name = expect_ident st in
-  match (current st).tok with
+  match current st with
   | Sym '[' ->
     advance st;
     let i = expect_nat st in
@@ -240,39 +261,34 @@ let parse_arg st =
     Indexed (name, i)
   | _ -> Whole name
 
-let parse_params_opt st =
-  match (current st).tok with
-  | Sym '(' ->
+let rec parse_exprs st =
+  let e = parse_expr st in
+  match current st with
+  | Sym ',' ->
     advance st;
-    if (current st).tok = Sym ')' then begin
+    e :: parse_exprs st
+  | _ ->
+    expect_sym st ')';
+    [ e ]
+
+let parse_params_opt st =
+  match current st with
+  | Sym '(' -> (
+    advance st;
+    match current st with
+    | Sym ')' ->
       advance st;
       []
-    end
-    else begin
-      let rec collect acc =
-        let e = parse_expr st in
-        match (current st).tok with
-        | Sym ',' ->
-          advance st;
-          collect (e :: acc)
-        | _ ->
-          expect_sym st ')';
-          List.rev (e :: acc)
-      in
-      collect []
-    end
+    | _ -> parse_exprs st)
   | _ -> []
 
-let parse_args st =
-  let rec collect acc =
-    let a = parse_arg st in
-    match (current st).tok with
-    | Sym ',' ->
-      advance st;
-      collect (a :: acc)
-    | _ -> List.rev (a :: acc)
-  in
-  collect []
+let rec parse_args st =
+  let a = parse_arg st in
+  match current st with
+  | Sym ',' ->
+    advance st;
+    a :: parse_args st
+  | _ -> [ a ]
 
 let parse_gate_op st =
   let op_line = cur_line st in
@@ -291,127 +307,125 @@ type program = {
 }
 
 type env = {
-  mutable qregs : (string * (int * int)) list;
-  mutable cregs : (string * (int * int)) list;
+  mutable qregs : (string * (int * int)) list;  (** newest first *)
+  mutable cregs : (string * (int * int)) list;  (** newest first *)
   mutable next_qubit : int;
   mutable next_cbit : int;
   mutable defs : (string * gate_def) list;
   mutable gates : Ir.Gate.t list;  (** reversed *)
   mutable readout : (int * int) list;  (** cbit -> qubit *)
+  measured_cbits : (int, unit) Hashtbl.t;
+  measured_qubits : (int, unit) Hashtbl.t;
 }
 
-let one k q = Ir.Gate.One (k, q)
+let push env g = env.gates <- g :: env.gates
+let one env k q = push env (Ir.Gate.One (k, q))
 
-(* qelib1 built-ins expressed over the IR. Returns None for unknown names
-   (then looked up among user definitions). *)
-let builtin line name params (qs : int array) =
-  let p i = List.nth params i in
-  let need np nq =
-    if List.length params <> np then
-      fail line "gate %s expects %d parameter(s), got %d" name np (List.length params);
-    if Array.length qs <> nq then
-      fail line "gate %s expects %d qubit(s), got %d" name nq (Array.length qs)
-  in
+let arity line name params (qs : int array) np nq =
+  if List.length params <> np then
+    fail line "gate %s expects %d parameter(s), got %d" name np (List.length params);
+  if Array.length qs <> nq then
+    fail line "gate %s expects %d qubit(s), got %d" name nq (Array.length qs)
+
+(* qelib1 built-ins expressed over the IR, pushed onto [env.gates].
+   Returns false for unknown names (then looked up among user
+   definitions). *)
+let builtin env line name params (qs : int array) =
   match name with
   | "U" | "u3" | "u" ->
-    need 3 1;
-    Some [ one (Ir.Gate.U3 (p 0, p 1, p 2)) qs.(0) ]
+    arity line name params qs 3 1;
+    one env
+      (Ir.Gate.U3 (List.nth params 0, List.nth params 1, List.nth params 2))
+      qs.(0);
+    true
   | "u2" ->
-    need 2 1;
-    Some [ one (Ir.Gate.U2 (p 0, p 1)) qs.(0) ]
-  | "u1" | "p" ->
-    need 1 1;
-    Some [ one (Ir.Gate.U1 (p 0)) qs.(0) ]
-  | "CX" | "cx" ->
-    need 0 2;
-    Some [ Ir.Gate.Two (Ir.Gate.Cnot, qs.(0), qs.(1)) ]
+    arity line name params qs 2 1;
+    one env (Ir.Gate.U2 (List.nth params 0, List.nth params 1)) qs.(0);
+    true
+  | "u1" | "p" | "rx" | "ry" | "rz" ->
+    arity line name params qs 1 1;
+    let k =
+      match name with
+      | "rx" -> Ir.Gate.Rx (List.nth params 0)
+      | "ry" -> Ir.Gate.Ry (List.nth params 0)
+      | "rz" -> Ir.Gate.Rz (List.nth params 0)
+      | _ -> Ir.Gate.U1 (List.nth params 0)
+    in
+    one env k qs.(0);
+    true
   | "id" ->
-    need 0 1;
-    Some []
-  | "h" ->
-    need 0 1;
-    Some [ one Ir.Gate.H qs.(0) ]
-  | "x" ->
-    need 0 1;
-    Some [ one Ir.Gate.X qs.(0) ]
-  | "y" ->
-    need 0 1;
-    Some [ one Ir.Gate.Y qs.(0) ]
-  | "z" ->
-    need 0 1;
-    Some [ one Ir.Gate.Z qs.(0) ]
-  | "s" ->
-    need 0 1;
-    Some [ one Ir.Gate.S qs.(0) ]
-  | "sdg" ->
-    need 0 1;
-    Some [ one Ir.Gate.Sdg qs.(0) ]
-  | "t" ->
-    need 0 1;
-    Some [ one Ir.Gate.T qs.(0) ]
-  | "tdg" ->
-    need 0 1;
-    Some [ one Ir.Gate.Tdg qs.(0) ]
-  | "rx" ->
-    need 1 1;
-    Some [ one (Ir.Gate.Rx (p 0)) qs.(0) ]
-  | "ry" ->
-    need 1 1;
-    Some [ one (Ir.Gate.Ry (p 0)) qs.(0) ]
-  | "rz" ->
-    need 1 1;
-    Some [ one (Ir.Gate.Rz (p 0)) qs.(0) ]
-  | "cz" ->
-    need 0 2;
-    Some [ Ir.Gate.Two (Ir.Gate.Cz, qs.(0), qs.(1)) ]
-  | "swap" ->
-    need 0 2;
-    Some [ Ir.Gate.Two (Ir.Gate.Swap, qs.(0), qs.(1)) ]
-  | "iswap" ->
-    need 0 2;
-    Some [ Ir.Gate.Two (Ir.Gate.Iswap, qs.(0), qs.(1)) ]
-  | "ccx" ->
-    need 0 3;
-    Some [ Ir.Gate.Ccx (qs.(0), qs.(1), qs.(2)) ]
-  | "cswap" ->
-    need 0 3;
-    Some [ Ir.Gate.Cswap (qs.(0), qs.(1), qs.(2)) ]
-  | "cu1" | "cp" ->
-    need 1 2;
-    Some (Ir.Decompose.cu1 (p 0) qs.(0) qs.(1))
-  | "crz" ->
-    need 1 2;
-    Some (Ir.Decompose.crz (p 0) qs.(0) qs.(1))
-  | "crx" ->
-    need 1 2;
-    Some (Ir.Decompose.crx (p 0) qs.(0) qs.(1))
-  | "cry" ->
-    need 1 2;
-    Some (Ir.Decompose.cry (p 0) qs.(0) qs.(1))
-  | "ch" ->
-    need 0 2;
-    Some (Ir.Decompose.ch qs.(0) qs.(1))
-  | "cy" ->
-    need 0 2;
-    Some (Ir.Decompose.cy qs.(0) qs.(1))
+    arity line name params qs 0 1;
+    true
+  | "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" ->
+    arity line name params qs 0 1;
+    let k =
+      match name with
+      | "h" -> Ir.Gate.H
+      | "x" -> Ir.Gate.X
+      | "y" -> Ir.Gate.Y
+      | "z" -> Ir.Gate.Z
+      | "s" -> Ir.Gate.S
+      | "sdg" -> Ir.Gate.Sdg
+      | "t" -> Ir.Gate.T
+      | _ -> Ir.Gate.Tdg
+    in
+    one env k qs.(0);
+    true
+  | "CX" | "cx" | "cz" | "swap" | "iswap" ->
+    arity line name params qs 0 2;
+    let k =
+      match name with
+      | "cz" -> Ir.Gate.Cz
+      | "swap" -> Ir.Gate.Swap
+      | "iswap" -> Ir.Gate.Iswap
+      | _ -> Ir.Gate.Cnot
+    in
+    push env (Ir.Gate.Two (k, qs.(0), qs.(1)));
+    true
+  | "ccx" | "cswap" ->
+    arity line name params qs 0 3;
+    push env
+      (if name = "ccx" then Ir.Gate.Ccx (qs.(0), qs.(1), qs.(2))
+       else Ir.Gate.Cswap (qs.(0), qs.(1), qs.(2)));
+    true
+  | "ch" | "cy" ->
+    arity line name params qs 0 2;
+    let decompose = if name = "ch" then Ir.Decompose.ch else Ir.Decompose.cy in
+    List.iter (push env) (decompose qs.(0) qs.(1));
+    true
+  | "cu1" | "cp" | "crz" | "crx" | "cry" ->
+    arity line name params qs 1 2;
+    let decompose =
+      match name with
+      | "crz" -> Ir.Decompose.crz
+      | "crx" -> Ir.Decompose.crx
+      | "cry" -> Ir.Decompose.cry
+      | _ -> Ir.Decompose.cu1
+    in
+    List.iter (push env) (decompose (List.nth params 0) qs.(0) qs.(1));
+    true
   | "cu3" ->
-    need 3 2;
-    Some (Ir.Decompose.cu3 (p 0) (p 1) (p 2) qs.(0) qs.(1))
-  | _ -> None
+    arity line name params qs 3 2;
+    List.iter (push env)
+      (Ir.Decompose.cu3 (List.nth params 0) (List.nth params 1) (List.nth params 2)
+         qs.(0) qs.(1));
+    true
+  | _ -> false
+
+let distinct (qs : int array) =
+  match Array.length qs with
+  | 0 | 1 -> true
+  | 2 -> qs.(0) <> qs.(1)
+  | 3 -> qs.(0) <> qs.(1) && qs.(0) <> qs.(2) && qs.(1) <> qs.(2)
+  | n -> List.length (List.sort_uniq compare (Array.to_list qs)) = n
 
 let max_expansion_depth = 64
 
 let rec apply_gate env depth line name param_values (qs : int array) =
   if depth > max_expansion_depth then
     fail line "gate expansion too deep (recursive definition of %s?)" name;
-  let distinct =
-    let l = Array.to_list qs in
-    List.length (List.sort_uniq compare l) = Array.length qs
-  in
-  if not distinct then fail line "gate %s applied with repeated qubits" name;
-  match builtin line name param_values qs with
-  | Some gates -> List.iter (fun g -> env.gates <- g :: env.gates) gates
-  | None -> (
+  if not (distinct qs) then fail line "gate %s applied with repeated qubits" name;
+  if not (builtin env line name param_values qs) then
     match List.assoc_opt name env.defs with
     | None -> fail line "unknown gate %S" name
     | Some def ->
@@ -437,42 +451,50 @@ let rec apply_gate env depth line name param_values (qs : int array) =
                  op.op_args)
           in
           apply_gate env (depth + 1) op.op_line op.op_name values operands)
-        def.g_body)
+        def.g_body
+
+(* [(base, size)] of register [r], newest declaration first. *)
+let rec find_reg line kind r = function
+  | [] -> fail line "unknown %s register %S" kind r
+  | (name, v) :: rest -> if String.equal name r then v else find_reg line kind r rest
+
+let lookup_qreg env line r = find_reg line "quantum" r env.qregs
+
+(* Size-1 registers act as scalars; all larger registers must agree. *)
+let broadcast_width env line (args : arg list) =
+  let sizes =
+    List.filter_map
+      (function Whole r -> Some (snd (lookup_qreg env line r)) | Indexed _ -> None)
+      args
+  in
+  match List.sort_uniq compare (List.filter (fun s -> s > 1) sizes) with
+  | [] -> 1
+  | [ n ] -> n
+  | _ -> fail line "broadcast registers must have equal sizes"
+
+(* Operand [i] onwards of broadcast step [k]. *)
+let rec operands env line k (qs : int array) i = function
+  | [] -> ()
+  | Whole r :: rest ->
+    let base, size = lookup_qreg env line r in
+    qs.(i) <- (base + if size = 1 then 0 else k);
+    operands env line k qs (i + 1) rest
+  | Indexed (r, j) :: rest ->
+    let base, size = lookup_qreg env line r in
+    if j < 0 || j >= size then fail line "index %d out of bounds for %S[%d]" j r size;
+    qs.(i) <- base + j;
+    operands env line k qs (i + 1) rest
 
 (* Broadcast a top-level gate call over whole-register arguments. *)
 let resolve_call env line name param_values (args : arg list) =
-  let lookup_qreg r =
-    match List.assoc_opt r env.qregs with
-    | Some v -> v
-    | None -> fail line "unknown quantum register %S" r
-  in
-  let sizes =
-    List.filter_map
-      (function Whole r -> Some (snd (lookup_qreg r)) | Indexed _ -> None)
-      args
-  in
-  (* Size-1 registers act as scalars; all larger registers must agree. *)
   let width =
-    match List.sort_uniq compare (List.filter (fun s -> s > 1) sizes) with
-    | [] -> 1
-    | [ n ] -> n
-    | _ -> fail line "broadcast registers must have equal sizes"
+    if List.for_all (function Indexed _ -> true | Whole _ -> false) args then 1
+    else broadcast_width env line args
   in
+  let n = List.length args in
   for k = 0 to width - 1 do
-    let qs =
-      Array.of_list
-        (List.map
-           (function
-             | Whole r ->
-               let base, size = lookup_qreg r in
-               base + (if size = 1 then 0 else k)
-             | Indexed (r, i) ->
-               let base, size = lookup_qreg r in
-               if i < 0 || i >= size then
-                 fail line "index %d out of bounds for %S[%d]" i r size;
-               base + i)
-           args)
-    in
+    let qs = Array.make n 0 in
+    operands env line k qs 0 args;
     apply_gate env 0 line name param_values qs
   done
 
@@ -483,17 +505,17 @@ let parse_gate_def st env =
   advance st (* 'gate' *);
   let name = expect_ident st in
   let params =
-    match (current st).tok with
+    match current st with
     | Sym '(' ->
       advance st;
-      if (current st).tok = Sym ')' then begin
+      if current st = Sym ')' then begin
         advance st;
         []
       end
       else begin
         let rec collect acc =
           let p = expect_ident st in
-          match (current st).tok with
+          match current st with
           | Sym ',' ->
             advance st;
             collect (p :: acc)
@@ -507,7 +529,7 @@ let parse_gate_def st env =
   in
   let rec qubits acc =
     let q = expect_ident st in
-    match (current st).tok with
+    match current st with
     | Sym ',' ->
       advance st;
       qubits (q :: acc)
@@ -516,14 +538,14 @@ let parse_gate_def st env =
   let qs = qubits [] in
   expect_sym st '{';
   let rec body acc =
-    match (current st).tok with
+    match current st with
     | Sym '}' ->
       advance st;
       List.rev acc
     | Ident "barrier" ->
       advance st;
       let rec skip () =
-        match (current st).tok with
+        match current st with
         | Sym ';' -> advance st
         | Eof -> fail (cur_line st) "unterminated gate body"
         | _ ->
@@ -543,25 +565,17 @@ let parse_measure st env =
   let line = cur_line st in
   advance st (* 'measure' *);
   let src = parse_arg st in
-  (match (current st).tok with Arrow -> advance st | _ -> fail line "expected ->");
+  (match current st with Arrow -> advance st | _ -> fail line "expected ->");
   let dst = parse_arg st in
   expect_sym st ';';
-  let qreg r =
-    match List.assoc_opt r env.qregs with
-    | Some v -> v
-    | None -> fail line "unknown quantum register %S" r
-  in
-  let creg r =
-    match List.assoc_opt r env.cregs with
-    | Some v -> v
-    | None -> fail line "unknown classical register %S" r
-  in
+  let qreg r = lookup_qreg env line r and creg r = find_reg line "classical" r env.cregs in
   let record qubit cbit =
-    if List.mem_assoc cbit env.readout then fail line "classical bit measured twice";
-    if List.exists (fun (_, q) -> q = qubit) env.readout then
-      fail line "qubit measured twice";
+    if Hashtbl.mem env.measured_cbits cbit then fail line "classical bit measured twice";
+    if Hashtbl.mem env.measured_qubits qubit then fail line "qubit measured twice";
+    Hashtbl.replace env.measured_cbits cbit ();
+    Hashtbl.replace env.measured_qubits qubit ();
     env.readout <- (cbit, qubit) :: env.readout;
-    env.gates <- Ir.Gate.Measure qubit :: env.gates
+    push env (Ir.Gate.Measure qubit)
   in
   match (src, dst) with
   | Indexed (q, i), Indexed (c, j) ->
@@ -587,22 +601,24 @@ let parse st =
       defs = [];
       gates = [];
       readout = [];
+      measured_cbits = Hashtbl.create 64;
+      measured_qubits = Hashtbl.create 64;
     }
   in
   (* Header. *)
-  (match (current st).tok with
+  (match current st with
   | Ident "OPENQASM" ->
     advance st;
-    (match (current st).tok with Real _ | Nat _ -> advance st | _ -> ());
+    (match current st with Real _ | Nat _ -> advance st | _ -> ());
     expect_sym st ';'
   | _ -> fail (cur_line st) "missing OPENQASM header");
   let rec statements () =
-    match (current st).tok with
+    match current st with
     | Eof -> ()
     | Ident "include" ->
       advance st;
-      (match (current st).tok with
-      | Str _ -> advance st
+      (match current st with
+      | Str -> advance st
       | _ -> fail (cur_line st) "include expects a string");
       expect_sym st ';';
       statements ()
@@ -616,7 +632,7 @@ let parse st =
       expect_sym st ';';
       if size <= 0 then fail line "qreg %S must have positive size" name;
       if List.mem_assoc name env.qregs then fail line "qreg %S already declared" name;
-      env.qregs <- env.qregs @ [ (name, (env.next_qubit, size)) ];
+      env.qregs <- (name, (env.next_qubit, size)) :: env.qregs;
       env.next_qubit <- env.next_qubit + size;
       statements ()
     | Ident "creg" ->
@@ -628,7 +644,7 @@ let parse st =
       expect_sym st ']';
       expect_sym st ';';
       if List.mem_assoc name env.cregs then fail line "creg %S already declared" name;
-      env.cregs <- env.cregs @ [ (name, (env.next_cbit, size)) ];
+      env.cregs <- (name, (env.next_cbit, size)) :: env.cregs;
       env.next_cbit <- env.next_cbit + size;
       statements ()
     | Ident "gate" ->
@@ -640,7 +656,7 @@ let parse st =
     | Ident "barrier" ->
       advance st;
       let rec skip () =
-        match (current st).tok with
+        match current st with
         | Sym ';' -> advance st
         | Eof -> fail (cur_line st) "unterminated barrier"
         | _ ->
@@ -651,10 +667,12 @@ let parse st =
       statements ()
     | Ident ("if" | "reset" | "opaque") ->
       fail (cur_line st) "%S is not supported (the gate IR is measurement-terminal)"
-        (match (current st).tok with Ident s -> s | _ -> "")
+        (match current st with Ident s -> s | _ -> "")
     | Ident _ ->
       let op = parse_gate_op st in
-      let values = List.map (eval_expr op.op_line []) op.op_params in
+      let values =
+        match op.op_params with [] -> [] | ps -> List.map (eval_expr op.op_line []) ps
+      in
       resolve_call env op.op_line op.op_name values op.op_args;
       statements ()
     | _ -> fail (cur_line st) "unexpected token"
@@ -665,8 +683,8 @@ let parse st =
   let qubit_names =
     List.concat_map
       (fun (name, (base, size)) ->
-        List.init size (fun i -> (Printf.sprintf "%s[%d]" name i, base + i)))
-      env.qregs
+        List.init size (fun i -> (String.concat "" [ name; "["; string_of_int i; "]" ], base + i)))
+      (List.rev env.qregs)
   in
   {
     circuit = Ir.Circuit.create env.next_qubit (List.rev env.gates);
@@ -674,7 +692,7 @@ let parse st =
     qubit_names;
   }
 
-let parse source = parse { tokens = tokenize source }
+let parse src = parse { src; pos = 0; line = 1; tok = Eof; tok_line = 1; consumed = true }
 
 let parse_file path =
   let ic = open_in_bin path in
