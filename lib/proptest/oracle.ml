@@ -3,11 +3,25 @@ module G = Ir.Gate
 
 (* ---------- roundtrip ---------- *)
 
-type vendor = Qasm | Quil | Ti
+type vendor = Qasm | Quil | Ti | Program
 
-let vendor_name = function Qasm -> "qasm" | Quil -> "quil" | Ti -> "ti"
+let vendor_name = function
+  | Qasm -> "qasm"
+  | Quil -> "quil"
+  | Ti -> "ti"
+  | Program -> "qasm-program"
 
-let vendor_ctor = function Qasm -> "Qasm" | Quil -> "Quil" | Ti -> "Ti"
+let vendor_ctor = function
+  | Qasm -> "Qasm"
+  | Quil -> "Quil"
+  | Ti -> "Ti"
+  | Program -> "Program"
+
+(* The gates [Qasm_emit.emit_program] prints one-to-one; it decomposes
+   the others into qelib1 gates. *)
+let printed_one_to_one = function
+  | G.One (G.Rxy _, _) | G.Two ((G.Xx _ | G.Iswap), _, _) -> false
+  | G.One _ | G.Two _ | G.Ccx _ | G.Cswap _ | G.Measure _ -> true
 
 (* CRLF line endings, trailing blanks, and tab separators: the
    whitespace dialects real vendor toolchains produce. A parser must
@@ -26,8 +40,26 @@ let expected_readout c =
 let max_used_qubit c =
   List.fold_left max (-1) (Circuit.used_qubits c)
 
-let gates_equal a b =
-  List.length a = List.length b && List.for_all2 G.equal a b
+(* Angles compare bit for bit: %.17g reads back to the same float, so a
+   reader off by one ulp, or one that drops the sign of a zero, is wrong.
+   [G.equal] would forgive 1e-12. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let one_q_identical (a : G.one_q) (b : G.one_q) =
+  match (a, b) with
+  | Rx s, Rx t | Ry s, Ry t | Rz s, Rz t | U1 s, U1 t -> same_bits s t
+  | Rxy (s1, s2), Rxy (t1, t2) | U2 (s1, s2), U2 (t1, t2) ->
+    same_bits s1 t1 && same_bits s2 t2
+  | U3 (s1, s2, s3), U3 (t1, t2, t3) -> same_bits s1 t1 && same_bits s2 t2 && same_bits s3 t3
+  | _ -> a = b (* no angle on either side *)
+
+let gate_identical (a : G.t) (b : G.t) =
+  match (a, b) with
+  | One (k1, q1), One (k2, q2) -> q1 = q2 && one_q_identical k1 k2
+  | Two (Xx s, a1, b1), Two (Xx t, a2, b2) -> a1 = a2 && b1 = b2 && same_bits s t
+  | _ -> a = b (* no angle on either side *)
+
+let gates_equal a b = List.length a = List.length b && List.for_all2 gate_identical a b
 
 (* Full-precision rendering: [G.to_string] rounds angles for display,
    which would make a 1-ulp round-trip divergence print as two identical
@@ -58,7 +90,7 @@ let check_parsed ~what ~expect_n c (parsed_circuit : Circuit.t) parsed_readout =
 
 let roundtrip_once vendor c ~what text =
   match vendor with
-  | Qasm ->
+  | Qasm | Program ->
     let p = Qasm.Frontend.parse text in
     let readout = List.mapi (fun i q -> (i, q)) p.Qasm.Frontend.measured in
     check_parsed ~what ~expect_n:c.Circuit.n_qubits c p.Qasm.Frontend.circuit readout
@@ -80,12 +112,14 @@ let emit vendor c =
     Backend.Qasm_emit.emit_circuit ~n_qubits:c.Circuit.n_qubits ~name:"fuzz" c
   | Quil -> Backend.Quil_emit.emit_circuit ~name:"fuzz" c
   | Ti -> Backend.Ti_emit.emit_circuit ~name:"fuzz" c
+  | Program -> Backend.Qasm_emit.emit_program ~name:"fuzz" c
 
 let check_roundtrip vendor c =
   (* Quil and TI have no qubit declaration, so an empty program carries no
      information and the parsers reject it by design: out of domain (the
      generators never produce one, but the shrinker can). *)
-  if c.Circuit.gates = [] && vendor <> Qasm then Ok ()
+  if c.Circuit.gates = [] && (vendor = Quil || vendor = Ti) then Ok ()
+  else if vendor = Program && not (List.for_all printed_one_to_one c.Circuit.gates) then Ok ()
   else
   match emit vendor c with
   | exception Invalid_argument msg ->
@@ -579,12 +613,16 @@ let roundtrip_spec : roundtrip_case Harness.spec =
     Harness.name = "roundtrip";
     gen =
       (fun rng ->
-        let v = Gen.one_of [ Qasm; Quil; Ti ] rng in
+        let v = Gen.one_of [ Qasm; Quil; Ti; Program ] rng in
         let circuit =
           match v with
           | Qasm -> Gen.ibm_visible_circuit ~max_qubits:5 ~max_gates:16 rng
           | Quil -> Gen.rigetti_visible_circuit ~max_qubits:5 ~max_gates:16 rng
           | Ti -> Gen.umd_visible_circuit ~max_qubits:5 ~max_gates:16 rng
+          | Program ->
+            let c = Gen.circuit ~max_qubits:5 ~max_gates:16 rng in
+            Circuit.create c.Circuit.n_qubits
+              (List.filter printed_one_to_one c.Circuit.gates)
         in
         { rt_vendor = v; rt_circuit = circuit });
     shrink =
@@ -758,7 +796,8 @@ let layout_spec : layout_case Harness.spec =
 
 let catalog =
   [
-    ("roundtrip", "emit -> parse reproduces the circuit for all three vendors");
+    ( "roundtrip",
+      "emit -> parse reproduces the circuit for the three vendors and portable QASM" );
     ("semantic", "statevector and density simulators agree on ideal outputs");
     ( "dataflow",
       "static dead-gate and Clifford-tableau facts agree with simulation" );

@@ -5,10 +5,11 @@
     satisfy for {e every} input, not just the fixture benchmarks:
 
     - {b roundtrip}: [Backend.*_emit] followed by [Backend.*_parse]
-      reproduces the circuit gate-for-gate (angles exact to 1 ulp —
+      reproduces the circuit gate-for-gate (angles bit for bit —
       emitters print 17 significant digits) for all three vendor
-      formats, including under CRLF line endings, trailing whitespace
-      and tab separators;
+      formats and for portable QASM ([Qasm_emit.emit_program] read by
+      [Qasm.Frontend]), including under CRLF line endings, trailing
+      whitespace and tab separators;
     - {b semantic}: the statevector and density-matrix simulators agree
       on ideal output distributions (<= 6 qubits, L1 <= 1e-9);
     - {b schedule}: every optimization level and router/peephole
@@ -25,13 +26,17 @@
 
 (** {1 Properties} *)
 
-type vendor = Qasm | Quil | Ti
+(** The three executable formats, and [Program]: the portable OpenQASM
+    of [Backend.Qasm_emit.emit_program] read back by [Qasm.Frontend]. *)
+type vendor = Qasm | Quil | Ti | Program
 
 val vendor_name : vendor -> string
 
 (** [check_roundtrip v c] emits [c] in [v]'s format and parses it back.
     [c] must use only [v]-visible gates (the generators guarantee it);
-    an emitter rejection is reported as a failure. Verifies gate
+    an emitter rejection is reported as a failure. Under [Program], a
+    circuit with a gate the emitter decomposes (Rxy, XX, iSWAP) is out
+    of domain. Verifies gate
     sequence, qubit count (declared for QASM; inferred from use for
     Quil/TI), the readout map, and that a whitespace-mangled copy of the
     text (CRLF + tabs + trailing blanks) parses identically. Vacuous for

@@ -78,6 +78,20 @@ let test_broadcast () =
   let p3 = parse (header ^ "qreg a[1];\nqreg b[3];\ncx a,b;\n") in
   Alcotest.(check int) "scalar control" 3 (Circuit.two_q_count p3.F.circuit)
 
+(* Register-wide measure records each bit in constant time: a
+   20,000-wide register once took seconds. *)
+let test_wide_measure () =
+  let n = 20_000 in
+  let src =
+    Printf.sprintf "%sqreg a[1];\nqreg q[%d];\ncreg c[%d];\nh q;\nmeasure q -> c;\n" header n n
+  in
+  let t0 = Sys.time () in
+  let p = parse src in
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check bool) "measured" true (p.F.measured = List.init n (fun i -> i + 1));
+  Alcotest.(check int) "gates" (2 * n) (Circuit.gate_count p.F.circuit);
+  if cpu > 1.0 then Alcotest.failf "parse took %.2f s of CPU" cpu
+
 let test_barrier_ignored () =
   let p = parse (header ^ "qreg q[2];\nh q[0];\nbarrier q;\ncx q[0],q[1];\n") in
   Alcotest.(check int) "barrier dropped" 2 (Circuit.gate_count p.F.circuit)
@@ -295,6 +309,7 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "barrier" `Quick test_barrier_ignored;
           Alcotest.test_case "measure order" `Quick test_measure_mapping_order;
+          Alcotest.test_case "wide register measure" `Quick test_wide_measure;
         ] );
       ( "definitions",
         [
