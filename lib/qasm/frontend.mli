@@ -22,7 +22,17 @@
 
     [if], [reset] and [opaque] are rejected with a clear error: the gate
     IR is measurement-terminal (the paper's benchmarks measure once, at
-    the end). *)
+    the end).
+
+    The text is read by a pull lexer with one token of lookahead: no
+    token list is built, and a token is scanned from the source string
+    only when the parser first reads it, after the statement before it
+    has been elaborated. Errors are therefore reported in source order:
+    when an input holds several errors (lexical, syntactic or semantic),
+    [Error] names the first one. A statement's semantic errors (unknown
+    gate, index out of bounds, qubit measured twice) are found once its
+    closing [;] has been read, before anything after it is scanned, and
+    carry the line where the statement begins. *)
 
 exception Error of string * int
 (** [Error (message, line)] *)
