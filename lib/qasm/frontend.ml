@@ -321,7 +321,7 @@ type env = {
 let push env g = env.gates <- g :: env.gates
 let one env k q = push env (Ir.Gate.One (k, q))
 
-let arity line name params (qs : int array) np nq =
+let check_arity line name params (qs : int array) np nq =
   if List.length params <> np then
     fail line "gate %s expects %d parameter(s), got %d" name np (List.length params);
   if Array.length qs <> nq then
@@ -333,17 +333,17 @@ let arity line name params (qs : int array) np nq =
 let builtin env line name params (qs : int array) =
   match name with
   | "U" | "u3" | "u" ->
-    arity line name params qs 3 1;
+    check_arity line name params qs 3 1;
     one env
       (Ir.Gate.U3 (List.nth params 0, List.nth params 1, List.nth params 2))
       qs.(0);
     true
   | "u2" ->
-    arity line name params qs 2 1;
+    check_arity line name params qs 2 1;
     one env (Ir.Gate.U2 (List.nth params 0, List.nth params 1)) qs.(0);
     true
   | "u1" | "p" | "rx" | "ry" | "rz" ->
-    arity line name params qs 1 1;
+    check_arity line name params qs 1 1;
     let k =
       match name with
       | "rx" -> Ir.Gate.Rx (List.nth params 0)
@@ -354,10 +354,10 @@ let builtin env line name params (qs : int array) =
     one env k qs.(0);
     true
   | "id" ->
-    arity line name params qs 0 1;
+    check_arity line name params qs 0 1;
     true
   | "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" ->
-    arity line name params qs 0 1;
+    check_arity line name params qs 0 1;
     let k =
       match name with
       | "h" -> Ir.Gate.H
@@ -372,7 +372,7 @@ let builtin env line name params (qs : int array) =
     one env k qs.(0);
     true
   | "CX" | "cx" | "cz" | "swap" | "iswap" ->
-    arity line name params qs 0 2;
+    check_arity line name params qs 0 2;
     let k =
       match name with
       | "cz" -> Ir.Gate.Cz
@@ -383,18 +383,18 @@ let builtin env line name params (qs : int array) =
     push env (Ir.Gate.Two (k, qs.(0), qs.(1)));
     true
   | "ccx" | "cswap" ->
-    arity line name params qs 0 3;
+    check_arity line name params qs 0 3;
     push env
       (if name = "ccx" then Ir.Gate.Ccx (qs.(0), qs.(1), qs.(2))
        else Ir.Gate.Cswap (qs.(0), qs.(1), qs.(2)));
     true
   | "ch" | "cy" ->
-    arity line name params qs 0 2;
+    check_arity line name params qs 0 2;
     let decompose = if name = "ch" then Ir.Decompose.ch else Ir.Decompose.cy in
     List.iter (push env) (decompose qs.(0) qs.(1));
     true
   | "cu1" | "cp" | "crz" | "crx" | "cry" ->
-    arity line name params qs 1 2;
+    check_arity line name params qs 1 2;
     let decompose =
       match name with
       | "crz" -> Ir.Decompose.crz
@@ -405,7 +405,7 @@ let builtin env line name params (qs : int array) =
     List.iter (push env) (decompose (List.nth params 0) qs.(0) qs.(1));
     true
   | "cu3" ->
-    arity line name params qs 3 2;
+    check_arity line name params qs 3 2;
     List.iter (push env)
       (Ir.Decompose.cu3 (List.nth params 0) (List.nth params 1) (List.nth params 2)
          qs.(0) qs.(1));
