@@ -2,36 +2,34 @@ module T = Text_out
 
 let render out (gates : Ir.Gate.t list) =
   T.char out '\n';
-  let measures = List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates in
+  let measures =
+    List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates
+  in
   if measures > 0 then begin
     T.string out "DECLARE ro BIT[";
     T.int out measures;
     T.string out "]\n"
   end;
+  let rotation name theta q =
+    T.string out name;
+    T.angle out theta;
+    T.string out ") ";
+    T.int out q
+  in
+  let two name a b =
+    T.string out name;
+    T.int out a;
+    T.char out ' ';
+    T.int out b
+  in
   let next_cbit = ref 0 in
   List.iter
     (fun (g : Ir.Gate.t) ->
       (match g with
-      | One (Rz theta, q) ->
-        T.string out "RZ(";
-        T.angle out theta;
-        T.string out ") ";
-        T.int out q
-      | One (Rx theta, q) ->
-        T.string out "RX(";
-        T.angle out theta;
-        T.string out ") ";
-        T.int out q
-      | Two (Cz, a, b) ->
-        T.string out "CZ ";
-        T.int out a;
-        T.char out ' ';
-        T.int out b
-      | Two (Iswap, a, b) ->
-        T.string out "ISWAP ";
-        T.int out a;
-        T.char out ' ';
-        T.int out b
+      | One (Rz theta, q) -> rotation "RZ(" theta q
+      | One (Rx theta, q) -> rotation "RX(" theta q
+      | Two (Cz, a, b) -> two "CZ " a b
+      | Two (Iswap, a, b) -> two "ISWAP " a b
       | Measure q ->
         T.string out "MEASURE ";
         T.int out q;

@@ -50,7 +50,8 @@ let one_q_identical (a : G.one_q) (b : G.one_q) =
   | Rx s, Rx t | Ry s, Ry t | Rz s, Rz t | U1 s, U1 t -> same_bits s t
   | Rxy (s1, s2), Rxy (t1, t2) | U2 (s1, s2), U2 (t1, t2) ->
     same_bits s1 t1 && same_bits s2 t2
-  | U3 (s1, s2, s3), U3 (t1, t2, t3) -> same_bits s1 t1 && same_bits s2 t2 && same_bits s3 t3
+  | U3 (s1, s2, s3), U3 (t1, t2, t3) ->
+    same_bits s1 t1 && same_bits s2 t2 && same_bits s3 t3
   | _ -> a = b (* no angle on either side *)
 
 let gate_identical (a : G.t) (b : G.t) =
@@ -119,7 +120,8 @@ let check_roundtrip vendor c =
      information and the parsers reject it by design: out of domain (the
      generators never produce one, but the shrinker can). *)
   if c.Circuit.gates = [] && (vendor = Quil || vendor = Ti) then Ok ()
-  else if vendor = Program && not (List.for_all printed_one_to_one c.Circuit.gates) then Ok ()
+  else if vendor = Program && not (List.for_all printed_one_to_one c.Circuit.gates) then
+    Ok ()
   else
   match emit vendor c with
   | exception Invalid_argument msg ->

@@ -105,10 +105,11 @@ let scan st =
         st.pos <- st.pos + 2;
         Arrow
       | '0' .. '9' -> scan_number st st.pos st.pos 0 false false
-      | '.' when is_digit (byte st (st.pos + 1)) -> scan_number st st.pos st.pos 0 false false
+      | '.' when is_digit (byte st (st.pos + 1)) ->
+        scan_number st st.pos st.pos 0 false false
       | 'a' .. 'z' | 'A' .. 'Z' | '_' -> scan_ident st
-      | ( ';' | ',' | '(' | ')' | '{' | '}' | '[' | ']' | '+' | '-' | '*' | '/' | '^' | '='
-        | '!' | '<' | '>' ) as c ->
+      | ( ';' | ',' | '(' | ')' | '{' | '}' | '[' | ']' | '+' | '-' | '*' | '/' | '^'
+        | '=' | '!' | '<' | '>' ) as c ->
         st.pos <- st.pos + 1;
         Array.unsafe_get sym_tokens (Char.code c)
       | c -> fail st.line "unexpected character %C" c
@@ -568,7 +569,8 @@ let parse_measure st env =
   (match current st with Arrow -> advance st | _ -> fail line "expected ->");
   let dst = parse_arg st in
   expect_sym st ';';
-  let qreg r = lookup_qreg env line r and creg r = find_reg line "classical" r env.cregs in
+  let qreg r = lookup_qreg env line r
+  and creg r = find_reg line "classical" r env.cregs in
   let record qubit cbit =
     if Hashtbl.mem env.measured_cbits cbit then fail line "classical bit measured twice";
     if Hashtbl.mem env.measured_qubits qubit then fail line "qubit measured twice";
@@ -683,7 +685,8 @@ let parse st =
   let qubit_names =
     List.concat_map
       (fun (name, (base, size)) ->
-        List.init size (fun i -> (String.concat "" [ name; "["; string_of_int i; "]" ], base + i)))
+        List.init size (fun i ->
+            (String.concat "" [ name; "["; string_of_int i; "]" ], base + i)))
       (List.rev env.qregs)
   in
   {
