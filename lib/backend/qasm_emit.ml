@@ -68,24 +68,24 @@ let measure out q cbit =
 
 (* The preamble up to the header comment's text, which the caller
    writes; [declare] ends the comment and declares the registers. *)
-let preamble gates =
-  let out = T.create ~gates:(List.length gates) in
+let preamble c =
+  let out = T.create ~gates:(Ir.Circuit.gate_count c) in
   T.string out "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n// ";
   out
 
-let declare out ~n_qubits gates =
+let declare out ~n_qubits c =
   T.string out "\nqreg q[";
   T.int out n_qubits;
   T.string out "];\n";
-  let n = List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates in
+  let n = Ir.Circuit.measure_count c in
   if n > 0 then begin
     T.string out "creg c[";
     T.int out n;
     T.string out "];\n"
   end
 
-let render out ~n_qubits (gates : Ir.Gate.t list) =
-  declare out ~n_qubits gates;
+let render out ~n_qubits (c : Ir.Circuit.t) =
+  declare out ~n_qubits c;
   let next_cbit = ref 0 in
   List.iter
     (fun (g : Ir.Gate.t) ->
@@ -101,26 +101,26 @@ let render out ~n_qubits (gates : Ir.Gate.t list) =
         invalid_arg
           (Printf.sprintf "Qasm_emit: gate %s is not IBM software-visible"
              (Ir.Gate.to_string other)))
-    gates;
+    c.Ir.Circuit.gates;
   T.contents out
 
 let emit_circuit ~n_qubits ~name (c : Ir.Circuit.t) =
-  let out = preamble c.Ir.Circuit.gates in
+  let out = preamble c in
   T.string out name;
-  render out ~n_qubits c.Ir.Circuit.gates
+  render out ~n_qubits c
 
 let emit (compiled : Triq.Compiled.t) =
   if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Ibm_visible
   then invalid_arg "Qasm_emit.emit: executable is not in IBM form";
-  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
-  let out = preamble gates in
+  let c = compiled.Triq.Compiled.hardware in
+  let out = preamble c in
   T.target out compiled;
-  render out ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine) gates
+  render out ~n_qubits:(Device.Machine.n_qubits compiled.Triq.Compiled.machine) c
 
 let emit_program ~name (c : Ir.Circuit.t) =
-  let out = preamble c.Ir.Circuit.gates in
+  let out = preamble c in
   T.string out name;
-  declare out ~n_qubits:c.Ir.Circuit.n_qubits c.Ir.Circuit.gates;
+  declare out ~n_qubits:c.Ir.Circuit.n_qubits c;
   let next_cbit = ref 0 in
   let rec emit_gate (g : Ir.Gate.t) =
     match g with

@@ -1,10 +1,8 @@
 module T = Text_out
 
-let render out (gates : Ir.Gate.t list) =
+let render out (c : Ir.Circuit.t) =
   T.char out '\n';
-  let measures =
-    List.fold_left (fun n g -> if Ir.Gate.is_measure g then n + 1 else n) 0 gates
-  in
+  let measures = Ir.Circuit.measure_count c in
   if measures > 0 then begin
     T.string out "DECLARE ro BIT[";
     T.int out measures;
@@ -42,24 +40,24 @@ let render out (gates : Ir.Gate.t list) =
           (Printf.sprintf "Quil_emit: gate %s is not Rigetti software-visible"
              (Ir.Gate.to_string other)));
       T.char out '\n')
-    gates;
+    c.Ir.Circuit.gates;
   T.contents out
 
-let header gates =
-  let out = T.create ~gates:(List.length gates) in
+let header c =
+  let out = T.create ~gates:(Ir.Circuit.gate_count c) in
   T.string out "# ";
   out
 
 let emit_circuit ~name (c : Ir.Circuit.t) =
-  let out = header c.Ir.Circuit.gates in
+  let out = header c in
   T.string out name;
-  render out c.Ir.Circuit.gates
+  render out c
 
 let emit (compiled : Triq.Compiled.t) =
   (match compiled.Triq.Compiled.machine.Device.Machine.basis with
   | Device.Gateset.Rigetti_visible | Device.Gateset.Rigetti_parametric_visible -> ()
   | _ -> invalid_arg "Quil_emit.emit: executable is not in Rigetti form");
-  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
-  let out = header gates in
+  let c = compiled.Triq.Compiled.hardware in
+  let out = header c in
   T.target out compiled;
-  render out gates
+  render out c

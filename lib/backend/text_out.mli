@@ -1,12 +1,13 @@
 (** The output buffer the three emitters write into.
 
     Every piece goes straight into one pre-sized [Buffer]: literal
-    strings, non-negative integers as digits, and angles as [%.17g],
-    the shortest fixed format that reads back to the same float. An
-    executable repeats a handful of distinct angles thousands of times,
-    so each buffer memoizes an angle's text by its bits. The memo lives
-    as long as the buffer, i.e. one emit call: emitters run inside pool
-    workers, so nothing is shared between calls. *)
+    strings, non-negative integers as digits, and angles as [%.17g]
+    (17 significant digits, enough for every float to read back
+    exactly). An executable repeats a handful of distinct angles
+    thousands of times, so each buffer memoizes an angle's text by its
+    bits. The memo lives as long as the buffer, i.e. one emit call:
+    emitters run inside pool workers, so nothing is shared between
+    calls. *)
 
 type t
 

@@ -1,6 +1,6 @@
 module T = Text_out
 
-let render out (gates : Ir.Gate.t list) =
+let render out (c : Ir.Circuit.t) =
   T.char out '\n';
   List.iter
     (fun (g : Ir.Gate.t) ->
@@ -32,23 +32,23 @@ let render out (gates : Ir.Gate.t list) =
           (Printf.sprintf "Ti_emit: gate %s is not UMD software-visible"
              (Ir.Gate.to_string other)));
       T.char out '\n')
-    gates;
+    c.Ir.Circuit.gates;
   T.contents out
 
-let header gates =
-  let out = T.create ~gates:(List.length gates) in
+let header c =
+  let out = T.create ~gates:(Ir.Circuit.gate_count c) in
   T.string out "; ";
   out
 
 let emit_circuit ~name (c : Ir.Circuit.t) =
-  let out = header c.Ir.Circuit.gates in
+  let out = header c in
   T.string out name;
-  render out c.Ir.Circuit.gates
+  render out c
 
 let emit (compiled : Triq.Compiled.t) =
   if compiled.Triq.Compiled.machine.Device.Machine.basis <> Device.Gateset.Umd_visible
   then invalid_arg "Ti_emit.emit: executable is not in UMD form";
-  let gates = compiled.Triq.Compiled.hardware.Ir.Circuit.gates in
-  let out = header gates in
+  let c = compiled.Triq.Compiled.hardware in
+  let out = header c in
   T.target out compiled;
-  render out gates
+  render out c
