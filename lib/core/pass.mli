@@ -47,7 +47,7 @@ module Config : sig
     day : int;  (** calibration day to compile against *)
     layout : Layout.Config.t;
         (** layout-engine options for the mapping pass: strategy
-            (bb/smt/greedy/portfolio), work budget, cache toggle — the
+            (bb/smt/greedy), work budget, cache toggle — the
             one typed record shared with [Pipeline] (the former
             [node_budget]/[mapper_nodes]/[mapper_optimal] trio) *)
     router : router;

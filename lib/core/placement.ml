@@ -11,29 +11,6 @@
 
 let cache : Reliability.t Layout.Cache.t = Layout.Cache.create ~capacity:512 ()
 
-(* Canonicalization dominates the cost of a cache hit: WL refinement with
-   individualization spends its full budget on symmetric interaction
-   graphs (stars, cycles). Memoize it on the raw interaction structure so
-   repeated compiles of the same circuit — the sweep drivers' common
-   case — skip straight to the cached form, while relabeled circuits miss
-   here and fall through to the full canonization. Keyed structurally, so
-   this can never alias two different placement problems. *)
-let canon_memo : (int * ((int * int) * int) list * int list, Layout.Canon.t) Hashtbl.t
-    =
-  Hashtbl.create 64
-
-let canon_of_problem (pr : Layout.Problem.t) =
-  let key =
-    (pr.Layout.Problem.n_program, pr.Layout.Problem.pairs, pr.Layout.Problem.measured)
-  in
-  match Hashtbl.find_opt canon_memo key with
-  | Some c -> c
-  | None ->
-    if Hashtbl.length canon_memo >= 512 then Hashtbl.reset canon_memo;
-    let c = Layout.Canon.of_problem pr in
-    Hashtbl.add canon_memo key c;
-    c
-
 let interactions (c : Ir.Circuit.t) =
   let table = Hashtbl.create 16 in
   let order = ref [] in
@@ -71,15 +48,19 @@ let problem ?(objective = Layout.Problem.Max_min) reliability (c : Ir.Circuit.t)
     ~readout:(Reliability.readout_reliability reliability)
     ()
 
+(* The budget caps each engine's own work unit: B&B nodes, SAT decisions
+   (greedy has none). *)
 let run_strategy ~(config : Layout.Config.t) pr =
   let budget = config.Layout.Config.node_budget in
-  match config.Layout.Config.strategy with
-  | Layout.Config.Bb -> Layout.Strategy.bb.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Smt ->
-    Layout.Strategy.smt.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Greedy ->
-    Layout.Strategy.greedy.Layout.Strategy.solve ~race:None ~seed:None ~budget pr
-  | Layout.Config.Portfolio -> Layout.Portfolio.solve ?budget pr
+  let name = Layout.Config.strategy_name config.Layout.Config.strategy in
+  Obs.Span.with_span
+    ~attrs:[ ("strategy", Obs.Span.Str name) ]
+    ("layout.strategy." ^ name)
+    (fun () ->
+      match config.Layout.Config.strategy with
+      | Layout.Config.Bb -> Layout.Bb.solve ?node_budget:budget pr
+      | Layout.Config.Smt -> Layout.Smt_search.solve ?decision_budget:budget pr
+      | Layout.Config.Greedy -> Layout.Greedy.solve pr)
 
 let scope ~(config : Layout.Config.t) ~machine_name ~day objective =
   String.concat "|"
@@ -96,21 +77,17 @@ let scope ~(config : Layout.Config.t) ~machine_name ~day objective =
 let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
     (c : Ir.Circuit.t) : Layout.Report.t =
   let pr = problem reliability c in
-  let attrs =
-    [
-      ("strategy", Obs.Span.Str (Layout.Config.strategy_name config.Layout.Config.strategy));
-      ("machine", Obs.Span.Str machine_name);
-    ]
-  in
+  let strategy = Layout.Config.strategy_name config.Layout.Config.strategy in
+  let attrs = [ ("strategy", Obs.Span.Str strategy); ("machine", Obs.Span.Str machine_name) ] in
   let report, _dt =
     Obs.Span.timed ~attrs "layout.solve" (fun () ->
         if not config.Layout.Config.cache then
           { (run_strategy ~config pr) with Layout.Report.cache = Layout.Report.Bypass }
         else begin
-          let canon = canon_of_problem pr in
+          let canon = Layout.Cache.canon cache pr in
           let scope = scope ~config ~machine_name ~day pr.Layout.Problem.objective in
           match Layout.Cache.lookup cache ~token:reliability ~scope canon with
-          | Some (placement, strategy, proven_optimal) ->
+          | Some (placement, proven_optimal) ->
             let objective, log_product = Layout.Problem.evaluate pr placement in
             {
               Layout.Report.strategy;
@@ -124,7 +101,6 @@ let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
           | None ->
             let r = run_strategy ~config pr in
             Layout.Cache.store cache ~token:reliability ~scope canon
-              ~strategy:r.Layout.Report.strategy
               ~proven_optimal:r.Layout.Report.proven_optimal
               r.Layout.Report.placement;
             { r with Layout.Report.cache = Layout.Report.Miss }
@@ -132,7 +108,5 @@ let solve ?(config = Layout.Config.default) ~reliability ~machine_name ~day
   in
   report
 
-let cache_clear () =
-  Layout.Cache.clear cache;
-  Hashtbl.reset canon_memo
+let cache_clear () = Layout.Cache.clear cache
 let cache_stats () = Layout.Cache.stats cache

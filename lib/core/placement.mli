@@ -1,6 +1,6 @@
 (** The pipeline's entry to the layout engine: lowers a circuit plus
     reliability matrix to a {!Layout.Problem.t}, dispatches on the
-    configured strategy (B&B / SMT / greedy / portfolio), and fronts the
+    configured strategy (B&B / SMT / greedy), and fronts the
     process-wide layout cache keyed on (canonical interaction-graph form,
     machine, day, objective, strategy, budget).
 

@@ -9,10 +9,7 @@
 
 val default_node_budget : int
 
-(** [solve ?race ?seed ?node_budget problem] searches for the placement
-    optimizing [problem.objective]. [seed] offers an extra starting
-    incumbent (e.g. the greedy strategy's placement) through the normal
-    recording rule; [race] enables cooperative cancellation polling when
-    racing in a portfolio. Default budget: 200_000 nodes. *)
-val solve :
-  ?race:Race.t -> ?seed:int array -> ?node_budget:int -> Problem.t -> Report.t
+(** [solve ?node_budget problem] searches for the placement optimizing
+    [problem.objective]. Default budget: 200_000 nodes; a search that
+    exhausts it returns its incumbent with [proven_optimal = false]. *)
+val solve : ?node_budget:int -> Problem.t -> Report.t

@@ -9,14 +9,23 @@
    layer's own cache returns the identical matrix object for the same
    (machine, day, noise-awareness), and structurally different models
    never share one. Placements are stored in canonical labels, so a hit
-   from a relabeled circuit is translated through its own permutation. *)
+   from a relabeled circuit is translated through its own permutation.
+
+   Canonicalization dominates the cost of a hit: WL refinement with
+   individualization spends its full budget on symmetric interaction
+   graphs (stars, cycles). [canon] memoizes it on the raw interaction
+   structure, so repeated compiles of the same circuit skip straight to
+   the cached form while relabeled circuits miss the memo and fall
+   through to the full canonization. The memo is keyed structurally, so
+   it can never alias two different placement problems, and it shares
+   the entries' mutex: lookups and inserts hold it, canonicalization
+   runs outside it. *)
 
 type 'tok entry = {
   token : 'tok;
   scope : string;
   form : Canon.form;
   canonical_placement : int array;  (* canonical program qubit -> hardware *)
-  strategy : string;
   proven_optimal : bool;
   mutable last_use : int;
 }
@@ -24,6 +33,7 @@ type 'tok entry = {
 type 'tok t = {
   capacity : int;
   table : (string * int, 'tok entry list ref) Hashtbl.t;
+  canon_memo : (int * ((int * int) * int) list * int list, Canon.t) Hashtbl.t;
   mutable size : int;
   mutable clock : int;
   mutable hits : int;
@@ -41,6 +51,7 @@ let create ?(capacity = 512) () =
   {
     capacity;
     table = Hashtbl.create 64;
+    canon_memo = Hashtbl.create 64;
     size = 0;
     clock = 0;
     hits = 0;
@@ -71,7 +82,7 @@ let lookup t ~token ~scope (canon : Canon.t) =
           Array.init canon.Canon.form.Canon.n (fun p ->
               e.canonical_placement.(canon.Canon.perm.(p)))
         in
-        Some (placement, e.strategy, e.proven_optimal)
+        Some (placement, e.proven_optimal)
       | None ->
         t.misses <- t.misses + 1;
         Obs.Metrics.incr obs_misses;
@@ -99,7 +110,7 @@ let evict_lru t =
     t.evictions <- t.evictions + 1;
     Obs.Metrics.incr obs_evictions
 
-let store t ~token ~scope (canon : Canon.t) ~strategy ~proven_optimal placement =
+let store t ~token ~scope (canon : Canon.t) ~proven_optimal placement =
   let n = canon.Canon.form.Canon.n in
   if Array.length placement <> n then
     invalid_arg "Layout.Cache.store: placement/canon size mismatch";
@@ -131,7 +142,6 @@ let store t ~token ~scope (canon : Canon.t) ~strategy ~proven_optimal placement 
             scope;
             form = canon.Canon.form;
             canonical_placement;
-            strategy;
             proven_optimal;
             last_use = t.clock;
           }
@@ -139,10 +149,22 @@ let store t ~token ~scope (canon : Canon.t) ~strategy ~proven_optimal placement 
         t.size <- t.size + 1
       end)
 
+let canon t (pr : Problem.t) =
+  let key = (pr.Problem.n_program, pr.Problem.pairs, pr.Problem.measured) in
+  match Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.canon_memo key) with
+  | Some c -> c
+  | None ->
+    let c = Canon.of_problem pr in
+    Mutex.protect t.mutex (fun () ->
+        if Hashtbl.length t.canon_memo >= t.capacity then Hashtbl.reset t.canon_memo;
+        Hashtbl.replace t.canon_memo key c);
+    c
+
 let clear t =
   Mutex.protect t.mutex (fun () ->
       Obs.Metrics.incr obs_evictions ~by:t.size;
       Hashtbl.reset t.table;
+      Hashtbl.reset t.canon_memo;
       t.size <- 0;
       t.hits <- 0;
       t.misses <- 0;

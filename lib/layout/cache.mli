@@ -19,25 +19,25 @@ type 'tok t
 
 val create : ?capacity:int -> unit -> 'tok t
 
-(** [lookup t ~token ~scope canon] returns
-    [(placement, strategy, proven_optimal)] translated into the querying
-    circuit's labels, or [None]. *)
-val lookup :
-  'tok t -> token:'tok -> scope:string -> Canon.t -> (int array * string * bool) option
+(** [canon t problem] is [Canon.of_problem problem], memoized on
+    [problem]'s interaction structure (program width, pairs, measured
+    qubits). The memo holds at most [capacity] forms and is emptied when
+    full. Safe to call from several domains. *)
+val canon : 'tok t -> Problem.t -> Canon.t
 
-(** [store t ~token ~scope canon ~strategy ~proven_optimal placement]
-    inserts (no-op if an equivalent entry exists), evicting the least
-    recently used entry at capacity. *)
+(** [lookup t ~token ~scope canon] returns [(placement, proven_optimal)]
+    with the placement translated into the querying circuit's labels, or
+    [None]. *)
+val lookup : 'tok t -> token:'tok -> scope:string -> Canon.t -> (int array * bool) option
+
+(** [store t ~token ~scope canon ~proven_optimal placement] inserts (no-op
+    if an equivalent entry exists), evicting the least recently used
+    entry at capacity. *)
 val store :
-  'tok t ->
-  token:'tok ->
-  scope:string ->
-  Canon.t ->
-  strategy:string ->
-  proven_optimal:bool ->
-  int array ->
-  unit
+  'tok t -> token:'tok -> scope:string -> Canon.t -> proven_optimal:bool -> int array -> unit
 
+(** [clear t] drops every entry and the canonical-form memo, and zeroes
+    the statistics. *)
 val clear : 'tok t -> unit
 
 type stats = { hits : int; misses : int; evictions : int; size : int }

@@ -1,20 +1,15 @@
-type strategy = Bb | Smt | Greedy | Portfolio
+type strategy = Bb | Smt | Greedy
 
-let strategy_name = function
-  | Bb -> "bb"
-  | Smt -> "smt"
-  | Greedy -> "greedy"
-  | Portfolio -> "portfolio"
+let strategy_name = function Bb -> "bb" | Smt -> "smt" | Greedy -> "greedy"
 
 let strategy_of_string s =
   match String.lowercase_ascii s with
   | "bb" -> Some Bb
   | "smt" -> Some Smt
   | "greedy" -> Some Greedy
-  | "portfolio" -> Some Portfolio
   | _ -> None
 
-let strategy_names = [ "bb"; "smt"; "greedy"; "portfolio" ]
+let strategy_names = [ "bb"; "smt"; "greedy" ]
 
 type t = { strategy : strategy; node_budget : int option; cache : bool }
 

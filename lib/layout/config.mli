@@ -2,7 +2,7 @@
     [Pass.Config] and [Pipeline] (replacing the duplicated
     [mapper_nodes]/[mapper_optimal]/[node_budget] fields). *)
 
-type strategy = Bb | Smt | Greedy | Portfolio
+type strategy = Bb | Smt | Greedy
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> strategy option

@@ -1,9 +1,7 @@
-(* Greedy degree-ordered seeder: place program qubits busiest-first, each
+(* Greedy degree-ordered placement: place program qubits busiest-first, each
    on the unused hardware qubit with the best incremental
    (min, log-product) cost against already-placed neighbours (lowest
-   hardware index on exact ties). Never optimal by proof, but instant —
-   used standalone, and as the incumbent that primes B&B pruning in
-   portfolio runs. *)
+   hardware index on exact ties). Never optimal by proof, but instant. *)
 
 let solve (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in

@@ -1,5 +1,4 @@
-(** Greedy degree-ordered placement seeder: deterministic, linear-time,
-    never proven optimal. Used standalone ([--mapper greedy]) and as the
-    incumbent primer for portfolio B&B runs. *)
+(** Greedy degree-ordered placement: deterministic, linear-time, never
+    proven optimal ([--mapper greedy]). *)
 
 val solve : Problem.t -> Report.t

@@ -10,7 +10,6 @@ type work = {
 
 val no_work : work
 val work_total : work -> int
-val add_work : work -> work -> work
 
 (** How the layout cache participated in producing this report:
     [Hit] (placement served from cache), [Miss] (solved, then stored), or
@@ -20,7 +19,7 @@ type cache_status = Hit | Miss | Bypass
 val cache_status_name : cache_status -> string
 
 type t = {
-  strategy : string;  (** e.g. ["bb"], ["smt"], ["portfolio:bb"] *)
+  strategy : string;  (** ["bb"], ["smt"] or ["greedy"] *)
   placement : int array;  (** program qubit -> hardware qubit *)
   objective : float;  (** min reliability over mapped 2Q ops and readouts *)
   log_product : float;  (** log of the reliability product *)

@@ -17,7 +17,7 @@
 
 module Solver = Smt.Solver
 
-let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
+let solve ?decision_budget (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in
   let var p h = (p * n_hardware) + h + 1 in
   let total_decisions = ref 0 in
@@ -114,29 +114,15 @@ let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
     | Solver.Unsat -> None
   in
   let exhausted () =
-    (match decision_budget with
-    | Some b -> !total_decisions > b
-    | None -> false)
-    || match race with Some r -> Race.cancelled r | None -> false
+    match decision_budget with Some b -> !total_decisions > b | None -> false
   in
-  (* Seed: an externally supplied placement (e.g. greedy's) raises the
-     binary search's SAT floor to its achieved objective without solving
-     anything below it. Without a seed, start from the structural-only
-     solve exactly like the original. *)
-  let best_placement, lo0 =
-    match seed with
-    | Some s ->
-      let m, _ = Problem.evaluate pr s in
-      let i = ref (-1) in
-      Array.iteri (fun k c -> if c <= m then i := k) candidates;
-      (Array.copy s, !i)
-    | None -> (
-      match satisfiable (-1) with
-      | Some placement -> (placement, -1)
-      | None -> invalid_arg "Layout.Smt_search: unsatisfiable structure constraints")
+  (* The structural-only solve is the binary search's SAT floor. *)
+  let best_placement =
+    match satisfiable (-1) with
+    | Some placement -> ref placement
+    | None -> invalid_arg "Layout.Smt_search: unsatisfiable structure constraints"
   in
-  let best_placement = ref best_placement in
-  let lo = ref lo0 and hi = ref n_cand in
+  let lo = ref (-1) and hi = ref n_cand in
   let truncated = ref false in
   while (not !truncated) && !hi - !lo > 1 do
     if exhausted () then truncated := true
@@ -149,12 +135,6 @@ let solve ?race ?seed ?decision_budget (pr : Problem.t) : Report.t =
       | None -> hi := mid
     end
   done;
-  (match race with
-  | Some r ->
-    if not !truncated then
-      let m, _ = Problem.evaluate pr !best_placement in
-      Race.publish r m
-  | None -> ());
   let objective, log_product = Problem.evaluate pr !best_placement in
   {
     Report.strategy = "smt";

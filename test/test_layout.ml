@@ -1,7 +1,7 @@
 (* Layout-engine tests: golden bit-identity of the compiled artifact
    against the pre-refactor fixture, canonical-form behaviour, cache
-   semantics, portfolio determinism across pool sizes, and the
-   structured-report contract. *)
+   semantics (also under a domain pool), agreement of the exact engines,
+   and the structured-report contract. *)
 
 module Machine = Device.Machine
 module Machines = Device.Machines
@@ -129,12 +129,10 @@ let test_cache_relabel_hit () =
   let pr' = problem_of ~n_program:4 (relabel_pairs perm pairs) [ perm.(3) ] in
   let a = Canon.of_problem pr and b = Canon.of_problem pr' in
   let r = Layout.Bb.solve pr in
-  Cache.store cache ~token ~scope:"s" a ~strategy:"bb" ~proven_optimal:true
-    r.Report.placement;
+  Cache.store cache ~token ~scope:"s" a ~proven_optimal:true r.Report.placement;
   (match Cache.lookup cache ~token ~scope:"s" b with
   | None -> Alcotest.fail "expected a hit on the isomorphic relabeling"
-  | Some (placement, strategy, optimal) ->
-    Alcotest.(check string) "stored strategy" "bb" strategy;
+  | Some (placement, optimal) ->
     Alcotest.(check bool) "stored optimality" true optimal;
     let obj, log = Layout.Problem.evaluate pr' placement in
     let obj0, log0 = Layout.Problem.evaluate pr r.Report.placement in
@@ -156,8 +154,7 @@ let test_cache_near_miss_graphs () =
   let token = ref 0 in
   let a = Canon.of_interactions ~n:6 ~pairs:two_triangles ~measured:[] in
   let b = Canon.of_interactions ~n:6 ~pairs:six_cycle ~measured:[] in
-  Cache.store cache ~token ~scope:"s" a ~strategy:"bb" ~proven_optimal:true
-    [| 0; 1; 2; 3; 4; 5 |];
+  Cache.store cache ~token ~scope:"s" a ~proven_optimal:true [| 0; 1; 2; 3; 4; 5 |];
   Alcotest.(check bool) "near-miss graph misses" true
     (Cache.lookup cache ~token ~scope:"s" b = None)
 
@@ -165,7 +162,7 @@ let test_cache_lru_eviction () =
   let cache = Cache.create ~capacity:2 () in
   let token = ref 0 in
   let form_of i = Canon.of_interactions ~n:3 ~pairs:[ ((0, 1), i + 1) ] ~measured:[] in
-  let store c = Cache.store cache ~token ~scope:"s" c ~strategy:"bb" ~proven_optimal:true [| 0; 1; 2 |] in
+  let store c = Cache.store cache ~token ~scope:"s" c ~proven_optimal:true [| 0; 1; 2 |] in
   let a = form_of 0 and b = form_of 1 and c = form_of 2 in
   store a;
   store b;
@@ -222,7 +219,43 @@ let test_placement_cache_disabled () =
   in
   Alcotest.(check string) "bypass" "bypass" (Report.cache_status_name r.Report.cache)
 
-(* ---------- Strategies and the portfolio ---------- *)
+let test_placement_cache_concurrent () =
+  (* [Placement.solve] runs inside pool workers whenever an experiment
+     grid compiles in parallel. 640 pairwise non-isomorphic interaction
+     structures (directed 4-qubit paths with distinct count sequences)
+     overflow both the canonical-form memo and the 512-entry cache, so
+     the parallel sweep races memo inserts, memo resets and evictions.
+     Every report must equal the sequential sweep's. *)
+  let machine = Machines.ibmq14 in
+  let reliability = reliability_for machine in
+  let circuits =
+    List.init 640 (fun i ->
+        let gates =
+          List.concat_map
+            (fun (a, b, count) -> List.init count (fun _ -> G.Two (G.Cnot, a, b)))
+            [ (0, 1, 1 + (i mod 8)); (1, 2, 1 + (i / 8 mod 8)); (2, 3, 1 + (i / 64)) ]
+        in
+        Circuit.create 4 (gates @ List.init 4 (fun q -> G.Measure q)))
+  in
+  let solve c =
+    Triq.Placement.solve ~reliability ~machine_name:machine.Machine.name ~day:0 c
+  in
+  Triq.Placement.cache_clear ();
+  let sequential = List.map solve circuits in
+  Alcotest.(check bool) "every structure is a cold solve" true
+    (List.for_all (fun (r : Report.t) -> r.Report.cache = Report.Miss) sequential);
+  Alcotest.(check bool) "the cache overflowed" true
+    ((Triq.Placement.cache_stats ()).Cache.evictions > 0);
+  Triq.Placement.cache_clear ();
+  let parallel =
+    Parallel.Pool.with_pool ~jobs:4 (fun pool -> Parallel.Pool.map pool solve circuits)
+  in
+  List.iteri
+    (fun i ((s : Report.t), (p : Report.t)) ->
+      if s <> p then Alcotest.failf "structure %d: parallel report differs" i)
+    (List.combine sequential parallel)
+
+(* ---------- The exact engines ---------- *)
 
 let problems_for tests =
   List.map
@@ -244,52 +277,18 @@ let test_strategies_agree_on_objective () =
     (fun (machine, (p : Programs.t), pr) ->
       let bb = Layout.Bb.solve pr in
       let smt = Layout.Smt_search.solve pr in
-      let portfolio = Layout.Portfolio.solve pr in
       let greedy = Layout.Greedy.solve pr in
       let close a b = Float.abs (a -. b) <= 1e-9 in
       if not (close bb.Report.objective smt.Report.objective) then
         Alcotest.failf "%s/%s: bb %.6f vs smt %.6f" machine.Machine.name
           p.Programs.name bb.Report.objective smt.Report.objective;
-      if not (close bb.Report.objective portfolio.Report.objective) then
-        Alcotest.failf "%s/%s: bb %.6f vs portfolio %.6f" machine.Machine.name
-          p.Programs.name bb.Report.objective portfolio.Report.objective;
+      Alcotest.(check bool) "bb proves optimality" true bb.Report.proven_optimal;
+      Alcotest.(check bool) "smt proves optimality" true smt.Report.proven_optimal;
       Alcotest.(check bool) "greedy is a lower bound" true
         (greedy.Report.objective <= bb.Report.objective +. 1e-12);
       Alcotest.(check bool) "greedy never claims optimality" false
         greedy.Report.proven_optimal)
     (problems_for strategy_matrix)
-
-let test_portfolio_cross_jobs_determinism () =
-  (* The portfolio's selected placement, objective and winner label must
-     be identical for every pool size. *)
-  List.iter
-    (fun (_machine, _p, pr) ->
-      let runs =
-        List.map
-          (fun jobs ->
-            Parallel.Pool.with_pool ~jobs (fun pool ->
-                Layout.Portfolio.solve ~pool pr))
-          [ 1; 2; 8 ]
-      in
-      match runs with
-      | first :: rest ->
-        List.iter
-          (fun (r : Report.t) ->
-            Alcotest.(check (float 0.)) "objective" first.Report.objective r.Report.objective;
-            Alcotest.(check bool) "placement" true (r.Report.placement = first.Report.placement);
-            Alcotest.(check string) "winner" first.Report.strategy r.Report.strategy)
-          rest
-      | [] -> assert false)
-    (problems_for strategy_matrix)
-
-let test_strategy_registry () =
-  Alcotest.(check bool) "builtins registered" true
-    (List.for_all
-       (fun n -> Layout.Strategy.find n <> None)
-       [ "bb"; "smt"; "greedy" ]);
-  Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Layout.Strategy.register: duplicate strategy bb")
-    (fun () -> Layout.Strategy.register Layout.Strategy.bb)
 
 (* ---------- Reports ---------- *)
 
@@ -324,11 +323,7 @@ let test_pipeline_strategy_dispatch () =
   in
   Alcotest.(check string) "bb" "bb" (strategy_of Layout.Config.Bb);
   Alcotest.(check string) "smt" "smt" (strategy_of Layout.Config.Smt);
-  Alcotest.(check string) "greedy" "greedy" (strategy_of Layout.Config.Greedy);
-  let portfolio = strategy_of Layout.Config.Portfolio in
-  Alcotest.(check bool) "portfolio labels its winner" true
-    (String.length portfolio > String.length "portfolio:"
-    && String.sub portfolio 0 10 = "portfolio:")
+  Alcotest.(check string) "greedy" "greedy" (strategy_of Layout.Config.Greedy)
 
 let () =
   Alcotest.run "layout"
@@ -349,13 +344,11 @@ let () =
           Alcotest.test_case "pipeline relabel hit" `Quick
             test_placement_cache_hits_relabeled_circuit;
           Alcotest.test_case "bypass" `Quick test_placement_cache_disabled;
+          Alcotest.test_case "concurrent solves" `Quick test_placement_cache_concurrent;
         ] );
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
-          Alcotest.test_case "portfolio determinism across -j" `Quick
-            test_portfolio_cross_jobs_determinism;
-          Alcotest.test_case "registry" `Quick test_strategy_registry;
         ] );
       ( "reports",
         [
