@@ -199,6 +199,7 @@ let test_placement_cache_hits_relabeled_circuit () =
   let r2 = solve c2 in
   Alcotest.(check string) "cold solve misses" "miss" (Report.cache_status_name r1.Report.cache);
   Alcotest.(check string) "relabeling hits" "hit" (Report.cache_status_name r2.Report.cache);
+  Alcotest.(check string) "hit labelled with the configured strategy" "bb" r2.Report.strategy;
   Alcotest.(check (float 0.)) "identical score" r1.Report.objective r2.Report.objective;
   (* Near-miss pair: same degree sequence, different graphs. *)
   let tri = cnot_circuit 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ] [] in
