@@ -614,9 +614,9 @@ let run_smoke () =
     "smoke ok: fig9 grid (%d trajectories) identical at -j 1 and -j 4; reliability cache exact\n"
     traj;
   (* Enriched-schema gate: build a quick timings payload (no Bechamel
-     suite), write it to a temp file, re-parse it with the independent
-     Device.Json reader, and assert the per-pass, cache and pool
-     sections are all present. *)
+     suite), write it to a temp file, re-parse it, and assert the
+     per-pass, cache and pool sections are all present. CI checks the
+     CLI's JSON output with an independent reader. *)
   Obs.Metrics.enable ();
   let per_pass = per_pass_breakdown ~reps:2 () in
   let sp = seq_vs_par ~trajectories:20 () in
@@ -627,12 +627,12 @@ let run_smoke () =
   let path = Filename.temp_file "bench_timings_smoke" ".json" in
   write_timings_json path (timings_payload [] per_pass sp ce lc be sh);
   let doc =
-    Device.Json.parse (In_channel.with_open_text path In_channel.input_all)
+    Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
   in
   Sys.remove path;
   List.iter
     (fun keys ->
-      try ignore (List.fold_left (fun j k -> Device.Json.member k j) doc keys)
+      try ignore (List.fold_left (fun j k -> Obs.Json.member k j) doc keys)
       with Invalid_argument msg ->
         Printf.eprintf "SMOKE FAIL: BENCH_timings.json missing %s (%s)\n"
           (String.concat "." keys) msg;
@@ -665,16 +665,16 @@ let run_smoke () =
    fresh run exceeds twice the committed baseline. *)
 let mapping_ns_per_compile path =
   let doc =
-    Device.Json.parse (In_channel.with_open_text path In_channel.input_all)
+    Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
   in
   let passes =
-    Device.Json.to_list (Device.Json.member "passes" (Device.Json.member "per_pass" doc))
+    Obs.Json.to_list (Obs.Json.member "passes" (Obs.Json.member "per_pass" doc))
   in
   let rec find = function
     | [] -> failwith (path ^ ": no \"mapping\" entry under per_pass.passes")
     | p :: rest ->
-      if Device.Json.to_str (Device.Json.member "name" p) = "mapping" then
-        Device.Json.to_float (Device.Json.member "ns_per_compile" p)
+      if Obs.Json.to_str (Obs.Json.member "name" p) = "mapping" then
+        Obs.Json.to_float (Obs.Json.member "ns_per_compile" p)
       else find rest
   in
   find passes

@@ -794,10 +794,7 @@ let lint_cmd =
           (Obs.Json.Obj
              [
                ( "diagnostics",
-                 Obs.Json.List
-                   (List.map
-                      (fun d -> Obs.Json.Raw (Analysis.Diag.to_json d))
-                      diags) );
+                 Obs.Json.List (List.map Analysis.Diag.to_json diags) );
                ("errors", Obs.Json.Int errors);
                ("warnings", Obs.Json.Int warnings);
              ])
@@ -906,7 +903,7 @@ let check_cmd =
                       validation) );
                ( "diagnostics",
                  Obs.Json.List
-                   (List.map (fun d -> Obs.Json.Raw (Analysis.Diag.to_json d)) diags)
+                   (List.map Analysis.Diag.to_json diags)
                );
                ("errors", Obs.Json.Int errors);
                ("findings", Obs.Json.Int findings);
@@ -1124,10 +1121,7 @@ let fuzz_cmd =
             (Obs.Json.Obj
                [
                  ( "reports",
-                   Obs.Json.List
-                     (List.map
-                        (fun r -> Obs.Json.Raw (Proptest.Oracle.report_json r))
-                        reports) );
+                   Obs.Json.List (List.map Proptest.Oracle.report_json reports) );
                ])
         else List.iter (fun r -> print_endline (Proptest.Oracle.report_text r)) reports;
         if failed then 1 else 0

@@ -51,8 +51,10 @@ val render : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** Machine-readable rendering as a single JSON object line. *)
-val to_json : t -> string
+(** Machine-readable rendering as one JSON object with members
+    [severity], [rule], [layer], [loc] ([null] or an object such as
+    [{"gate": 12}]) and [message], in that order. *)
+val to_json : t -> Obs.Json.t
 
 (** Sort severity-first (errors before warnings), then rule id, then
     location — a deterministic report order. *)

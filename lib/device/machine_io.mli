@@ -29,8 +29,8 @@
 exception Error of string
 (** Malformed description (missing/ill-typed members, invalid values). *)
 
-val to_json : Machine.t -> Json.t
-val of_json : Json.t -> Machine.t
+val to_json : Machine.t -> Obs.Json.t
+val of_json : Obs.Json.t -> Machine.t
 
 (** [of_string s] parses and validates a JSON description. *)
 val of_string : string -> Machine.t

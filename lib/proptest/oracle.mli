@@ -141,5 +141,7 @@ val run_all : seed:int -> cases:int -> report list
     fixture). *)
 val report_text : report -> string
 
-(** One JSON object (single line). *)
-val report_json : report -> string
+(** One JSON object: [oracle], [seed], [cases], [cases_run], [status]
+    (["ok"] or ["fail"]), and for a failure [case], [shrink_steps],
+    [message], [original_message], [shrunk] and [repro]. *)
+val report_json : report -> Obs.Json.t

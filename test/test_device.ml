@@ -333,37 +333,50 @@ let test_machines_example_8q () =
 
 (* ---------- Json / Machine_io ---------- *)
 
-module Json = Device.Json
+module Json = Obs.Json
 module Machine_io = Device.Machine_io
 
 let test_json_roundtrip () =
   let doc =
-    Json.Object
+    Json.Obj
       [
-        ("a", Json.Number 1.5);
-        ("b", Json.Array [ Json.Bool true; Json.Null; Json.String "x\"y" ]);
-        ("c", Json.Object [ ("nested", Json.Number 3.0) ]);
+        ("a", Json.Float 1.5);
+        ("b", Json.List [ Json.Bool true; Json.Null; Json.Str "x\"y" ]);
+        ("c", Json.Obj [ ("nested", Json.Int 3) ]);
       ]
   in
-  let text = Json.to_string doc in
+  let text = Json.to_string ~pretty:true doc in
   Alcotest.(check bool) "roundtrip" true (Json.parse text = doc);
   (* Compact form too. *)
-  Alcotest.(check bool) "compact roundtrip" true
-    (Json.parse (Json.to_string ~indent:0 doc) = doc)
+  Alcotest.(check bool) "compact roundtrip" true (Json.parse (Json.to_string doc) = doc)
 
 let test_json_parse_basics () =
-  Alcotest.(check bool) "number" true (Json.parse "42" = Json.Number 42.0);
-  Alcotest.(check bool) "negative float" true (Json.parse "-2.5e1" = Json.Number (-25.0));
-  Alcotest.(check bool) "escapes" true (Json.parse {|"a\nb"|} = Json.String "a\nb");
+  Alcotest.(check bool) "integer" true (Json.parse "42" = Json.Int 42);
+  Alcotest.(check bool) "integral float" true (Json.parse "42.0" = Json.Float 42.0);
+  Alcotest.(check bool) "negative float" true (Json.parse "-2.5e1" = Json.Float (-25.0));
+  Alcotest.(check bool) "integer wider than int" true
+    (Json.parse "9223372036854775808" = Json.Float 9223372036854775808.0);
+  Alcotest.(check bool) "escapes" true (Json.parse {|"a\nb"|} = Json.Str "a\nb");
+  Alcotest.(check bool) "short escapes" true
+    (Json.parse {|"\b\f\/\r"|} = Json.Str "\b\012/\r");
+  Alcotest.(check bool) "\\u escapes" true
+    (Json.parse {|"\u0041\u00e9\u20AC\u0007"|} = Json.Str "A\xc3\xa9\xe2\x82\xac\007");
+  Alcotest.(check bool) "surrogate pair" true
+    (Json.parse {|"\ud83d\ude00"|} = Json.Str "\xf0\x9f\x98\x80");
   Alcotest.(check bool) "empty containers" true
-    (Json.parse "[{}, []]" = Json.Array [ Json.Object []; Json.Array [] ])
+    (Json.parse "[{}, []]" = Json.List [ Json.Obj []; Json.List [] ])
 
 let test_json_parse_errors () =
   let raises s = try ignore (Json.parse s); false with Json.Parse_error _ -> true in
   Alcotest.(check bool) "trailing" true (raises "1 2");
   Alcotest.(check bool) "unterminated string" true (raises {|"abc|});
   Alcotest.(check bool) "bad literal" true (raises "nul");
-  Alcotest.(check bool) "unclosed array" true (raises "[1, 2")
+  Alcotest.(check bool) "unclosed array" true (raises "[1, 2");
+  Alcotest.(check bool) "bad hex digit" true (raises {|"\u12g4"|});
+  Alcotest.(check bool) "truncated \\u" true (raises {|"\u12"|});
+  Alcotest.(check bool) "lone high surrogate" true (raises {|"\ud83d"|});
+  Alcotest.(check bool) "lone low surrogate" true (raises {|"\ude00"|});
+  Alcotest.(check bool) "unknown escape" true (raises {|"\x41"|})
 
 let test_json_accessors () =
   let doc = Json.parse {|{"x": 3, "s": "hi", "flag": false, "l": [1]}|} in
@@ -373,7 +386,85 @@ let test_json_accessors () =
   Alcotest.(check int) "list" 1 (List.length (Json.to_list (Json.member "l" doc)));
   Alcotest.(check bool) "missing member" true
     (try ignore (Json.member "nope" doc); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "member_opt" true (Json.member_opt "nope" doc = None)
+  Alcotest.(check bool) "member_opt" true (Json.member_opt "nope" doc = None);
+  let rejects f v = try ignore (f v); false with Invalid_argument _ -> true in
+  Alcotest.(check (float 0.0)) "to_float of Int" 3.0 (Json.to_float (Json.Int 3));
+  Alcotest.(check int) "to_int of integral Float" 5 (Json.to_int (Json.parse "5.0"));
+  Alcotest.(check int) "to_int at min_int" min_int
+    (Json.to_int (Json.Float (Float.of_int min_int)));
+  Alcotest.(check bool) "to_int fraction" true (rejects Json.to_int (Json.Float 2.5));
+  Alcotest.(check bool) "to_int 1e300" true (rejects Json.to_int (Json.parse "1e300"));
+  Alcotest.(check bool) "to_int 2^62" true (rejects Json.to_int (Json.Float 0x1p62));
+  Alcotest.(check bool) "to_int -1e19" true (rejects Json.to_int (Json.Float (-1e19)))
+
+(* Writing then parsing gives the value back, up to the documented number
+   rule: an integral float below 1e15 is written without a fraction and
+   reads as [Int], and a non-finite float is written as [null]. *)
+let rec json_as_read = function
+  | Json.Float f when not (Float.is_finite f) -> Json.Null
+  | Json.Float f when Float.is_integer f && Float.abs f < 1e15 -> Json.Int (Float.to_int f)
+  | Json.List l -> Json.List (List.map json_as_read l)
+  | Json.Obj m -> Json.Obj (List.map (fun (k, v) -> (k, json_as_read v)) m)
+  | v -> v
+
+let json_reads_back v =
+  let want = json_as_read v in
+  Json.parse (Json.to_string v) = want && Json.parse (Json.to_string ~pretty:true v) = want
+
+let test_json_write_parse () =
+  let control = String.init 32 Char.chr ^ "\"\\\127\xff" in
+  List.iter
+    (fun (label, v) -> Alcotest.(check bool) label true (json_reads_back v))
+    [
+      ("control characters", Json.Str control);
+      ("control characters in a key", Json.Obj [ (control, Json.Null) ]);
+      ("\\u escape text", Json.Str {|\u0041 \ud83d|});
+      ("max_int", Json.Int max_int);
+      ("min_int", Json.Int min_int);
+      ("nan", Json.List [ Json.Float Float.nan ]);
+      ("infinity", Json.Obj [ ("x", Json.Float Float.infinity) ]);
+      ("17 digits", Json.Float 0.047599999999999996);
+      ("integral float", Json.Float 40.0);
+      ("negative zero", Json.Float (-0.0));
+      ("large integral float", Json.Float 1e15);
+    ];
+  Alcotest.(check bool) "non-finite becomes null" true
+    (Json.parse (Json.to_string (Json.Float Float.neg_infinity)) = Json.Null)
+
+let json_gen =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (int_bound 12) in
+    let num =
+      oneof
+        [
+          map (fun i -> Json.Int i) int;
+          oneofl [ Json.Int max_int; Json.Int min_int ];
+          map (fun f -> Json.Float f) float;
+          map (fun i -> Json.Float (Float.of_int i)) (int_range (-1000) 1000);
+          oneofl [ Json.Float Float.nan; Json.Float Float.infinity ];
+        ]
+    in
+    let leaf =
+      oneof [ pure Json.Null; map (fun b -> Json.Bool b) bool; num; map (fun s -> Json.Str s) str ]
+    in
+    sized_size (int_bound 4)
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n - 1)))) );
+               ])))
+
+let prop_json_write_parse =
+  QCheck.Test.make ~count:500 ~name:"json values read back after writing"
+    (QCheck.make ~print:Json.to_string json_gen)
+    json_reads_back
 
 let test_machine_io_roundtrip_all () =
   List.iter
@@ -415,7 +506,61 @@ let test_machine_io_validation () =
        {|{"name":"x","interface":"ibm","qubits":4,"edges":[[0,1]],
           "profile":{"one_q_err":0.01,"two_q_err":0.02,"readout_err":0.03,
           "coherence_us":10,"one_q_time_us":0.1,"two_q_time_us":0.2,
-          "spatial_sigma":0.1,"temporal_sigma":0.1}}|})
+          "spatial_sigma":0.1,"temporal_sigma":0.1}}|});
+  (* Numbers written in the file must not size the work: an exported
+     IBMQ5 claiming 50 million qubits over its 6 edges can never be
+     connected, and is rejected before any per-qubit allocation. *)
+  let with_qubits q =
+    match Machine_io.to_json Machines.ibmq5 with
+    | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj (List.map (fun (k, v) -> (k, if k = "qubits" then q else v)) fields))
+    | _ -> Alcotest.fail "exported machine is not an object"
+  in
+  let error_of s =
+    match Machine_io.of_string s with
+    | _ -> "accepted"
+    | exception Machine_io.Error msg -> msg
+  in
+  Alcotest.(check string) "ibmq5 re-reads" "IBMQ5"
+    (Machine_io.of_string (with_qubits (Json.Int 5))).Machine.name;
+  let t0 = Sys.time () in
+  Alcotest.(check string) "more qubits than edges + 1"
+    "bad machine: Machine.create: disconnected topology"
+    (error_of (with_qubits (Json.Int 50_000_000)));
+  Alcotest.(check bool) "rejected in under 0.1 s of CPU" true (Sys.time () -. t0 < 0.1);
+  Alcotest.(check string) "qubits out of int range" "Json.to_int: out of range"
+    (error_of (with_qubits (Json.Float 1e300)))
+
+(* Retargeting: a machine exported and read back compiles every bundled
+   program that fits, at every level, to the byte-identical executable
+   the built-in machine gives. *)
+let test_machine_io_retargeting () =
+  let config = Triq.Pass.Config.make ~layout_cache:false () in
+  let programs = Bench_kit.Programs.all @ Bench_kit.Programs.extras in
+  let cells = ref 0 in
+  List.iter
+    (fun m ->
+      let m' = Machine_io.of_string (Machine_io.to_string m) in
+      List.iter
+        (fun (p : Bench_kit.Programs.t) ->
+          if Machine.fits m p.Bench_kit.Programs.circuit then
+            List.iter
+              (fun level ->
+                let emit machine =
+                  Backend.Emit.executable
+                    (Triq.Pipeline.compile_level ~config machine
+                       p.Bench_kit.Programs.circuit ~level)
+                in
+                incr cells;
+                Alcotest.(check string)
+                  (Printf.sprintf "%s %s %s" m.Machine.name p.Bench_kit.Programs.name
+                     (Triq.Pipeline.level_name level))
+                  (emit m) (emit m'))
+              Triq.Pipeline.all_levels)
+        programs)
+    (Machines.all @ Machines.extended);
+  Alcotest.(check bool) "cells compiled" true (!cells > 0)
 
 let test_machine_io_usable_for_compilation () =
   (* A machine loaded from JSON drives the full pipeline. *)
@@ -458,7 +603,8 @@ let prop_machine_io_roundtrip =
       && Topology.edges m.Machine.topology = Topology.edges m'.Machine.topology
       && Machine.calibration m ~day:2 = Machine.calibration m' ~day:2)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_machine_io_roundtrip ]
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_machine_io_roundtrip; prop_json_write_parse ]
 
 let () =
   Alcotest.run "device"
@@ -503,11 +649,13 @@ let () =
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "write then parse" `Quick test_json_write_parse;
         ] );
       ( "machine_io",
         [
           Alcotest.test_case "roundtrip all machines" `Quick test_machine_io_roundtrip_all;
           Alcotest.test_case "validation" `Quick test_machine_io_validation;
+          Alcotest.test_case "retargeting executables" `Quick test_machine_io_retargeting;
           Alcotest.test_case "usable for compilation" `Quick
             test_machine_io_usable_for_compilation;
         ] );

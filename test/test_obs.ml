@@ -1,7 +1,7 @@
 (* Observability-layer tests: span nesting and ordering (single-domain
    and under a -j 8 domain pool), histogram bucket geometry, exporter
-   round-trips (the Chrome trace re-parses with the independent
-   Device.Json reader), the null-sink no-op contract (instrumentation
+   round-trips (the Chrome and jsonl traces re-parse with
+   Obs.Json.parse), the null-sink no-op contract (instrumentation
    must not perturb compile or simulation results), pass_times_s as a
    derived view of the pass spans, metrics counter deltas, and the shared
    CLI envelope. *)
@@ -148,27 +148,27 @@ let make_spans () =
 
 let test_chrome_roundtrip () =
   let spans = make_spans () in
-  let doc = Device.Json.parse (Export.chrome spans) in
-  let events = Device.Json.(to_list (member "traceEvents" doc)) in
+  let doc = Json.parse (Export.chrome spans) in
+  let events = Json.(to_list (member "traceEvents" doc)) in
   Alcotest.(check int) "one event per span" (List.length spans)
     (List.length events);
   let names =
-    List.map (fun e -> Device.Json.(to_str (member "name" e))) events
+    List.map (fun e -> Json.(to_str (member "name" e))) events
   in
   Alcotest.(check bool) "compile event present" true (List.mem "compile" names);
   List.iter
     (fun e ->
       Alcotest.(check string)
         "complete event" "X"
-        Device.Json.(to_str (member "ph" e));
+        Json.(to_str (member "ph" e));
       Alcotest.(check bool) "relative ts >= 0" true
-        (Device.Json.(to_float (member "ts" e)) >= 0.0);
+        (Json.(to_float (member "ts" e)) >= 0.0);
       Alcotest.(check bool) "dur >= 0" true
-        (Device.Json.(to_float (member "dur" e)) >= 0.0);
-      ignore Device.Json.(to_int (member "tid" e)))
+        (Json.(to_float (member "dur" e)) >= 0.0);
+      ignore Json.(to_int (member "tid" e)))
     events;
   let cats =
-    List.map (fun e -> Device.Json.(to_str (member "cat" e))) events
+    List.map (fun e -> Json.(to_str (member "cat" e))) events
   in
   Alcotest.(check bool) "category = name prefix" true (List.mem "sim" cats)
 
@@ -181,15 +181,15 @@ let test_jsonl_roundtrip () =
     (List.length lines);
   List.iter2
     (fun line (s : Span.t) ->
-      let doc = Device.Json.parse line in
+      let doc = Json.parse line in
       Alcotest.(check string)
         "name" s.Span.name
-        Device.Json.(to_str (member "name" doc));
-      Alcotest.(check int) "id" s.Span.id Device.Json.(to_int (member "id" doc));
+        Json.(to_str (member "name" doc));
+      Alcotest.(check int) "id" s.Span.id Json.(to_int (member "id" doc));
       (* start_ns/dur_ns are strings: they do not fit a double exactly. *)
       Alcotest.(check string)
         "dur_ns" (Int64.to_string s.Span.dur_ns)
-        Device.Json.(to_str (member "dur_ns" doc)))
+        Json.(to_str (member "dur_ns" doc)))
     lines spans
 
 let test_text_tree_nesting () =
@@ -308,10 +308,10 @@ let test_output_envelope () =
     (Obs.Output.to_string ~ok:true ~command:"metrics"
        (Json.Obj [ ("a", Json.Int 1); ("b", Json.Str "x") ]));
   Alcotest.(check string)
-    "raw splice"
+    "nested list"
     {|{"ok":false,"command":"lint","data":[{"pre":1}]}|}
     (Obs.Output.to_string ~ok:false ~command:"lint"
-       (Json.List [ Json.Raw {|{"pre":1}|} ]))
+       (Json.List [ Json.Obj [ ("pre", Json.Int 1) ] ]))
 
 let () =
   Alcotest.run "obs"
