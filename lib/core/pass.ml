@@ -45,16 +45,9 @@ module Config = struct
       validate = Off;
     }
 
-  let make ?(day = 0) ?node_budget ?mapper ?layout_cache ?layout
-      ?(router = Default) ?(peephole = false) ?(validate = Off) () =
-    let layout =
-      match layout with
-      | Some l -> l
-      | None ->
-        Layout.Config.make
-          ?strategy:mapper ?node_budget
-          ?cache:layout_cache ()
-    in
+  let make ?(day = 0) ?node_budget ?mapper ?layout_cache ?(router = Default)
+      ?(peephole = false) ?(validate = Off) () =
+    let layout = Layout.Config.make ?strategy:mapper ?node_budget ?cache:layout_cache () in
     { day; layout; router; peephole; validate }
 
   let router_name = function Default -> "default" | Lookahead -> "lookahead"

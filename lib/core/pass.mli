@@ -65,14 +65,14 @@ module Config : sig
       [Pipeline.compile_level] defaults to. *)
   val default : t
 
-  (** [?node_budget], [?mapper] and [?layout_cache] populate the [layout]
-      record piecewise; [?layout] supplies it whole (and wins). *)
+  (** [?mapper], [?node_budget] and [?layout_cache] set the [layout]
+      record's strategy, work budget and cache toggle; each omitted one
+      keeps {!Layout.Config.make}'s default. *)
   val make :
     ?day:int ->
     ?node_budget:int ->
     ?mapper:Layout.Config.strategy ->
     ?layout_cache:bool ->
-    ?layout:Layout.Config.t ->
     ?router:router ->
     ?peephole:bool ->
     ?validate:validation ->

@@ -133,29 +133,35 @@ let derive_action k u =
       }
   with Not_clifford -> None
 
-(* Memoized per gate shape (operands normalized to slots 0..k-1). *)
+(* Memoized per gate shape (operands normalized to slots 0..k-1). The key
+   carries the gate's angle, so the table is emptied whenever it reaches
+   [action_capacity] entries. The simulator derives actions on pool
+   workers, so lookups and inserts hold [action_mutex]; the derivation
+   itself runs outside it. *)
+let action_capacity = 1024
 let action_cache : (Ir.Gate.t, action option) Hashtbl.t = Hashtbl.create 64
+let action_mutex = Mutex.create ()
+
+let memo_action key derive =
+  match Mutex.protect action_mutex (fun () -> Hashtbl.find_opt action_cache key) with
+  | Some a -> a
+  | None ->
+      let a = derive () in
+      Mutex.protect action_mutex (fun () ->
+          if Hashtbl.length action_cache >= action_capacity then
+            Hashtbl.reset action_cache;
+          Hashtbl.replace action_cache key a);
+      a
 
 let gate_action g =
   match g with
   | Ir.Gate.Measure _ -> invalid_arg "Tableau: Measure has no unitary action"
   | Ir.Gate.Ccx _ | Ir.Gate.Cswap _ -> None
   | Ir.Gate.One (og, _) ->
-      let key = Ir.Gate.One (og, 0) in
-      (match Hashtbl.find_opt action_cache key with
-      | Some a -> a
-      | None ->
-          let a = derive_action 1 (Ir.Matrices.one_q og) in
-          Hashtbl.replace action_cache key a;
-          a)
+      memo_action (Ir.Gate.One (og, 0)) (fun () -> derive_action 1 (Ir.Matrices.one_q og))
   | Ir.Gate.Two (tg, _, _) ->
-      let key = Ir.Gate.Two (tg, 0, 1) in
-      (match Hashtbl.find_opt action_cache key with
-      | Some a -> a
-      | None ->
-          let a = derive_action 2 (Ir.Matrices.two_q tg) in
-          Hashtbl.replace action_cache key a;
-          a)
+      memo_action (Ir.Gate.Two (tg, 0, 1)) (fun () ->
+          derive_action 2 (Ir.Matrices.two_q tg))
 
 let is_clifford_gate g =
   match g with
@@ -170,6 +176,8 @@ module Action = struct
   type t = action
 
   let of_gate = gate_action
+  let memo_capacity = action_capacity
+  let memo_size () = Mutex.protect action_mutex (fun () -> Hashtbl.length action_cache)
   let arity act = Array.length act.img_x
 
   (* Restrict the row to the operand qubits (slot order; factors on

@@ -42,6 +42,13 @@ module Action : sig
       gate is not Clifford. Raises [Invalid_argument] on [Measure]. *)
   val of_gate : Ir.Gate.t -> t option
 
+  (** The derivation memo is shared by every domain and holds at most
+      [memo_capacity] gate shapes (it is emptied when full);
+      [memo_size ()] is its current entry count. *)
+  val memo_capacity : int
+
+  val memo_size : unit -> int
+
   (** Number of operand slots (1 or 2). *)
   val arity : t -> int
 

@@ -75,6 +75,36 @@ let test_clifford_recognition () =
       (G.Measure 0, false);
     ]
 
+let test_action_memo_concurrent () =
+  (* The simulator derives Clifford actions on pool workers, so the memo
+     is shared by every domain. Gates at 3 x capacity distinct angles
+     (every third one Clifford) overflow it repeatedly while four domains
+     read, insert and empty it. Every derived action must equal the
+     sequential run's, and the memo never holds more than its capacity. *)
+  let capacity = Tableau.Action.memo_capacity in
+  let gates =
+    List.init (3 * capacity) (fun i ->
+        let angle =
+          if i mod 3 = 0 then Float.pi /. 4.0 *. Float.of_int (i / 3)
+          else 0.1 +. (1e-3 *. Float.of_int i)
+        in
+        if i mod 2 = 0 then G.One (G.Rz (2.0 *. angle), i mod 5)
+        else G.Two (G.Xx angle, i mod 5, (i + 1) mod 5))
+  in
+  let classify g = Option.map Tableau.Action.table (Tableau.Action.of_gate g) in
+  let sequential = List.map classify gates in
+  Alcotest.(check bool) "Clifford angles recognised" true
+    (List.length (List.filter Option.is_some sequential) >= capacity);
+  let bounded () = Tableau.Action.memo_size () <= capacity in
+  Alcotest.(check bool) "memo bounded after the sequential run" true (bounded ());
+  let parallel =
+    Parallel.Pool.with_pool ~jobs:4 (fun pool -> Parallel.Pool.map pool classify gates)
+  in
+  List.iteri
+    (fun i (s, p) -> if s <> p then Alcotest.failf "gate %d: parallel action differs" i)
+    (List.combine sequential parallel);
+  Alcotest.(check bool) "memo bounded after the parallel run" true (bounded ())
+
 let test_clifford_prefix () =
   let c = circ 1 [ G.One (G.H, 0); G.One (G.T, 0); G.One (G.H, 0) ] in
   Alcotest.(check int) "prefix stops at T" 1 (Tableau.clifford_prefix c);
@@ -357,6 +387,8 @@ let () =
           Alcotest.test_case "clifford recognition" `Quick
             test_clifford_recognition;
           Alcotest.test_case "clifford prefix" `Quick test_clifford_prefix;
+          Alcotest.test_case "action memo across domains" `Quick
+            test_action_memo_concurrent;
           Alcotest.test_case "measurement dephasing" `Quick
             test_measurement_equal;
           Alcotest.test_case "embed" `Quick test_embed;
