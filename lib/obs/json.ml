@@ -137,23 +137,20 @@ let hex4 st =
 (* [\uXXXX], with a UTF-16 surrogate pair read as one code point, appended
    as UTF-8. A lone surrogate names no character and is rejected. *)
 let add_unicode_escape st buf =
+  let unpaired () = error st "unpaired surrogate in \\u escape" in
   let u = hex4 st in
   let cp =
-    if u >= 0xD800 && u <= 0xDBFF then begin
-      if
-        st.pos + 2 <= String.length st.src
-        && st.src.[st.pos] = '\\'
-        && st.src.[st.pos + 1] = 'u'
-      then begin
-        st.pos <- st.pos + 2;
-        let lo = hex4 st in
-        if lo < 0xDC00 || lo > 0xDFFF then error st "unpaired surrogate in \\u escape";
-        0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
-      end
-      else error st "unpaired surrogate in \\u escape"
+    if u >= 0xDC00 && u <= 0xDFFF then unpaired ()
+    else if u < 0xD800 || u > 0xDBFF then u
+    else if
+      st.pos + 1 < String.length st.src && st.src.[st.pos] = '\\' && st.src.[st.pos + 1] = 'u'
+    then begin
+      st.pos <- st.pos + 2;
+      let lo = hex4 st in
+      if lo < 0xDC00 || lo > 0xDFFF then unpaired ();
+      0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
     end
-    else if u >= 0xDC00 && u <= 0xDFFF then error st "unpaired surrogate in \\u escape"
-    else u
+    else unpaired ()
   in
   Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
 
