@@ -13,8 +13,9 @@
     Reading accepts standard JSON, including every string escape
     ([\uXXXX] decodes to UTF-8; a surrogate pair is one code point).
     An integer literal that fits [int] reads as [Int]; any other number
-    reads as [Float]. So [parse (to_string v)] gives back [v] up to
-    that number rule and the [null] for non-finite floats. *)
+    reads as [Float]. So [parse (to_string v)] gives back [v], except
+    that an integral float below 1e15 reads back as [Int] and a
+    non-finite float as [Null]. *)
 
 type t =
   | Null
