@@ -291,6 +291,105 @@ let test_strategies_agree_on_objective () =
         greedy.Report.proven_optimal)
     (problems_for strategy_matrix)
 
+(* ---------- Search work golden ---------- *)
+
+(* Every engine's exact work and result on a fixed problem set, pinned
+   so that a faster search must still be the same search: same B&B node
+   count, same incumbent placement, same objective bits; same greedy
+   steps and SAT decisions. Problems: every bundled benchmark that fits
+   IBMQ14, IBMQ16 and Aspen-3 under both objectives, seeded random
+   interaction graphs of 2-7 qubits on the same machines, and searches
+   cut short by a small node budget. *)
+
+let work_machines = [ Machines.ibmq14; Machines.ibmq16; Machines.aspen3 ]
+
+(* A seeded random program: [n] qubits, CNOTs between random distinct
+   pairs (repeats aggregate into counts), a random nonempty measured
+   subset. *)
+let random_interaction_circuit seed =
+  let st = Random.State.make [| 0x5eed; seed |] in
+  let n = 2 + (seed mod 6) in
+  let n_gates = n + Random.State.int st (3 * n) in
+  let cnots =
+    List.init n_gates (fun _ ->
+        let a = Random.State.int st n in
+        let b = (a + 1 + Random.State.int st (n - 1)) mod n in
+        (a, b))
+  in
+  let measured = List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id) in
+  cnot_circuit n cnots (if measured = [] then [ n - 1 ] else measured)
+
+let work_problems () =
+  let benchmarks =
+    List.map
+      (fun (p : Programs.t) -> (p.Programs.name, Ir.Decompose.flatten p.Programs.circuit))
+      (Programs.all @ Programs.extras)
+  in
+  let randoms =
+    List.init 12 (fun seed -> (Printf.sprintf "rand%d" seed, random_interaction_circuit seed))
+  in
+  List.concat_map
+    (fun machine ->
+      let reliability = reliability_for machine in
+      List.filter_map
+        (fun (name, c) ->
+          if Machine.fits machine c then
+            Some (machine.Machine.name ^ "/" ^ name, reliability, c)
+          else None)
+        (benchmarks @ randoms))
+    work_machines
+
+let show_placement pl = String.concat "," (Array.to_list (Array.map string_of_int pl))
+
+let bb_line label (r : Report.t) =
+  Printf.sprintf "%s bb nodes=%d optimal=%b placement=%s objective=%h log=%h" label
+    r.Report.work.Report.search_nodes r.Report.proven_optimal
+    (show_placement r.Report.placement) r.Report.objective r.Report.log_product
+
+let work_lines () =
+  let problems = work_problems () in
+  let per_problem =
+    List.concat_map
+      (fun (label, reliability, c) ->
+        let problem objective = Triq.Placement.problem ~objective reliability c in
+        let mm = problem Layout.Problem.Max_min in
+        let greedy = Layout.Greedy.solve mm in
+        let smt = Layout.Smt_search.solve mm in
+        [
+          bb_line (label ^ " max-min") (Layout.Bb.solve mm);
+          bb_line (label ^ " product") (Layout.Bb.solve (problem Layout.Problem.Product));
+          Printf.sprintf "%s greedy steps=%d placement=%s" label
+            greedy.Report.work.Report.heuristic_steps
+            (show_placement greedy.Report.placement);
+          Printf.sprintf "%s smt decisions=%d placement=%s" label
+            smt.Report.work.Report.sat_decisions (show_placement smt.Report.placement);
+        ])
+      problems
+  in
+  (* Budget-truncated searches: the incumbent at the cut is pinned too. *)
+  let truncated =
+    List.concat_map
+      (fun (label, budget) ->
+        let _, reliability, c = List.find (fun (l, _, _) -> l = label) problems in
+        List.map
+          (fun objective ->
+            let pr = Triq.Placement.problem ~objective reliability c in
+            bb_line
+              (Printf.sprintf "%s %s budget=%d" label
+                 (Layout.Problem.objective_name objective) budget)
+              (Layout.Bb.solve ~node_budget:budget pr))
+          [ Layout.Problem.Max_min; Layout.Problem.Product ])
+      [ ("IBMQ16/BV8", 500); ("Aspen3/BV8", 2_000); ("IBMQ14/rand11", 40) ]
+  in
+  per_problem @ truncated
+
+let test_bb_work_golden () =
+  let lines = work_lines () in
+  Alcotest.(check int) "case count" (List.length Layout_work_golden.lines) (List.length lines);
+  List.iter2
+    (fun expected got -> Alcotest.(check string) "search work" expected got)
+    Layout_work_golden.lines lines
+
 (* ---------- Reports ---------- *)
 
 let test_pipeline_layout_report () =
@@ -350,6 +449,7 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "objective agreement" `Quick test_strategies_agree_on_objective;
+          Alcotest.test_case "bb work golden" `Quick test_bb_work_golden;
         ] );
       ( "reports",
         [
@@ -357,3 +457,4 @@ let () =
           Alcotest.test_case "strategy dispatch" `Quick test_pipeline_strategy_dispatch;
         ] );
     ]
+
