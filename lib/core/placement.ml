@@ -44,8 +44,8 @@ let problem ?(objective = Layout.Problem.Max_min) reliability (c : Ir.Circuit.t)
   Layout.Problem.make ~objective ~n_program ~n_hardware
     ~pairs:(interactions c)
     ~measured:(Ir.Circuit.measured_qubits c)
-    ~score:(Reliability.score reliability)
-    ~readout:(Reliability.readout_reliability reliability)
+    ~score:(Reliability.score_matrix reliability)
+    ~readout:(Reliability.readout_vector reliability)
     ()
 
 (* The budget caps each engine's own work unit: B&B nodes, SAT decisions

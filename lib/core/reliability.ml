@@ -95,6 +95,8 @@ let score t c tgt =
   check t tgt;
   t.score.(c).(tgt)
 
+let score_matrix t = t.score
+
 let edge_reliability t a b =
   check t a;
   check t b;
@@ -131,6 +133,8 @@ let path_between t a b =
 let readout_reliability t q =
   check t q;
   t.readout.(q)
+
+let readout_vector t = t.readout
 
 let equal a b =
   a.n = b.n

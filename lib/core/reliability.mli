@@ -55,6 +55,11 @@ val n_qubits : t -> int
     0 when unreachable, and undefined (0) on the diagonal. *)
 val score : t -> int -> int -> float
 
+(** [score_matrix t] is the dense matrix behind {!score}: row [c] holds
+    the scores from [c]. It is [t]'s own array, shared with every caller
+    (the layout engine reads it per compile), so it must not be mutated. *)
+val score_matrix : t -> float array array
+
 (** [edge_reliability t a b] is the direct coupling reliability used for
     edge [{a,b}]; raises [Not_found] when uncoupled. *)
 val edge_reliability : t -> int -> int -> float
@@ -75,6 +80,10 @@ val path_between : t -> int -> int -> int list
 
 (** [readout_reliability t q] is 1 - readout error of [q]. *)
 val readout_reliability : t -> int -> float
+
+(** [readout_vector t] is the array behind {!readout_reliability},
+    shared like {!score_matrix} and likewise never to be mutated. *)
+val readout_vector : t -> float array
 
 (** [pp] prints the matrix in the layout of Figure 6. *)
 val pp : Format.formatter -> t -> unit

@@ -20,24 +20,59 @@
    reliability values that are either bitwise equal or separated by much
    more than the 1e-12 tie tolerance — true of every calibration model in
    the tree, and pinned by the golden pipeline fixtures in
-   test/test_layout.ml. *)
+   test/test_layout.ml.
+
+   A search node costs memory reads. Once per solve, the score matrix is
+   flattened and every score and readout gets its clamped log,
+   [log (Float.max r log_floor)] — the expression the per-candidate cost
+   used to evaluate, so every sum is bit-identical. Each program qubit's
+   partners become parallel arrays, and each depth owns a preallocated
+   candidate buffer kept sorted by insertion. The running (min, log) pair
+   of every depth lives in float arrays, so the recursion passes only the
+   depth and allocates nothing between incumbents. *)
 
 let log_floor = Problem.log_floor
 let default_node_budget = 200_000
 
+(* The problem's score model, flat: [score.(h * n + h')] is the directed
+   score from h to h', [log_score] its clamped log; likewise readouts. *)
+type tables = {
+  n : int;
+  score : float array;
+  log_score : float array;
+  readout : float array;
+  log_readout : float array;
+}
+
+let clamped_log r = log (Float.max r log_floor)
+
+let tables (pr : Problem.t) =
+  let n = pr.n_hardware in
+  let score = Array.make (n * n) 0.0 in
+  Array.iteri (fun h row -> Array.blit row 0 score (h * n) n) pr.score;
+  {
+    n;
+    score;
+    log_score = Array.map clamped_log score;
+    readout = pr.readout;
+    log_readout = Array.map clamped_log pr.readout;
+  }
+
 (* Hardware symmetry classes: rep.(h) is the smallest hardware qubit whose
    score/readout profile is bitwise identical to h's (swapping the two
    qubits is an automorphism of the score model). *)
-let symmetry_reps (pr : Problem.t) =
-  let n = pr.n_hardware in
+let symmetry_reps tb =
+  let n = tb.n and score = tb.score in
   let rep = Array.init n (fun h -> h) in
   let same h1 h2 =
-    pr.readout h1 = pr.readout h2
-    && pr.score h1 h2 = pr.score h2 h1
+    tb.readout.(h1) = tb.readout.(h2)
+    && score.((h1 * n) + h2) = score.((h2 * n) + h1)
     && (let ok = ref true in
         for x = 0 to n - 1 do
           if x <> h1 && x <> h2 then
-            if pr.score h1 x <> pr.score h2 x || pr.score x h1 <> pr.score x h2
+            if
+              score.((h1 * n) + x) <> score.((h2 * n) + x)
+              || score.((x * n) + h1) <> score.((x * n) + h2)
             then ok := false
         done;
         !ok)
@@ -61,15 +96,15 @@ let symmetry_reps (pr : Problem.t) =
    >= k. *)
 type bounds = { suffix_min : float array; suffix_log : float array }
 
-let compute_bounds (pr : Problem.t) order partners measured_set =
-  let n = pr.n_program and h_n = pr.n_hardware in
+let compute_bounds (pr : Problem.t) tb order partners measured_set =
+  let n = pr.n_program and h_n = tb.n in
   let rowmax_out = Array.make h_n neg_infinity in
   let rowmax_in = Array.make h_n neg_infinity in
   let global_max = ref neg_infinity in
   for h = 0 to h_n - 1 do
     for h' = 0 to h_n - 1 do
       if h <> h' then begin
-        let s = pr.score h h' in
+        let s = tb.score.((h * h_n) + h') in
         if s > rowmax_out.(h) then rowmax_out.(h) <- s;
         if s > rowmax_in.(h') then rowmax_in.(h') <- s;
         if s > !global_max then global_max := s
@@ -87,7 +122,7 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
           if rm < !cap then cap := rm)
         partners.(q);
       if measured_set.(q) then begin
-        let r = pr.readout h in
+        let r = tb.readout.(h) in
         if r < !cap then cap := r
       end;
       if !cap > !best then best := !cap
@@ -99,20 +134,15 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
   (* Log terms accounted at each order position: an edge lands on the
      later-placed endpoint; a readout on its own qubit. *)
   let log_at = Array.make n 0.0 in
-  let edge_log = log (Float.max !global_max log_floor) in
+  let edge_log = clamped_log !global_max in
   List.iter
     (fun ((a, b), count) ->
       let later = if pos.(a) > pos.(b) then pos.(a) else pos.(b) in
       log_at.(later) <- log_at.(later) +. (float_of_int count *. edge_log))
     pr.pairs;
-  let max_readout = ref neg_infinity in
-  for h = 0 to h_n - 1 do
-    let r = pr.readout h in
-    if r > !max_readout then max_readout := r
-  done;
+  let max_readout = Array.fold_left (fun m r -> if r > m then r else m) neg_infinity tb.readout in
   List.iter
-    (fun m ->
-      log_at.(pos.(m)) <- log_at.(pos.(m)) +. log (Float.max !max_readout log_floor))
+    (fun m -> log_at.(pos.(m)) <- log_at.(pos.(m)) +. clamped_log max_readout)
     pr.measured;
   let suffix_min = Array.make (n + 1) infinity in
   let suffix_log = Array.make (n + 1) 0.0 in
@@ -124,125 +154,164 @@ let compute_bounds (pr : Problem.t) order partners measured_set =
   done;
   { suffix_min; suffix_log }
 
+(* The incumbent's scores: an all-float record, stored flat. *)
+type incumbent = { mutable best_min : float; mutable best_log : float }
+
 let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let n_program = pr.n_program and n_hardware = pr.n_hardware in
-  let objective = pr.objective in
+  let max_min = match pr.objective with Problem.Max_min -> true | Problem.Product -> false in
+  let tb = tables pr in
   let partners = Problem.partners pr in
   let measured_set = Problem.measured_set pr in
   let order = Problem.order pr in
-  let rep = symmetry_reps pr in
-  let bounds = compute_bounds pr order partners measured_set in
+  let rep = symmetry_reps tb in
+  let { suffix_min; suffix_log } = compute_bounds pr tb order partners measured_set in
+  (* partners.(p) as parallel arrays, in the same order, with counts as
+     the floats the cost multiplies by. *)
+  let partner_other = Array.map (fun l -> Array.of_list (List.map (fun (o, _, _) -> o) l)) partners in
+  let partner_oriented =
+    Array.map (fun l -> Array.of_list (List.map (fun (_, o, _) -> o) l)) partners
+  in
+  let partner_count =
+    Array.map (fun l -> Array.of_list (List.map (fun (_, _, c) -> float_of_int c) l)) partners
+  in
+  let score = tb.score and log_score = tb.log_score in
+  let readout = tb.readout and log_readout = tb.log_readout in
   let placement = Array.make n_program (-1) in
   let used = Array.make n_hardware false in
+  let class_seen = Array.make n_hardware false in
+  (* Candidates of depth d live at [d * n_hardware ..], best first. *)
+  let cand_min = Array.make (n_program * n_hardware) 0.0 in
+  let cand_log = Array.make (n_program * n_hardware) 0.0 in
+  let cand_hw = Array.make (n_program * n_hardware) 0 in
+  (* The (min, log) of the partial placement at each depth. *)
+  let path_min = Array.make (n_program + 1) 1.0 in
+  let path_log = Array.make (n_program + 1) 0.0 in
   let nodes = ref 0 in
   let truncated = ref false in
-  let best_placement = ref None in
-  let best_min = ref (-1.0) in
-  let best_log = ref neg_infinity in
-  (* Incumbent recording rule — identical to the original search. *)
-  let better cur_min cur_log =
-    match objective with
-    | Problem.Max_min ->
-      cur_min > !best_min +. 1e-12
-      || (cur_min > !best_min -. 1e-12 && cur_log > !best_log)
-    | Problem.Product ->
-      cur_log > !best_log || (cur_log = !best_log && cur_min > !best_min +. 1e-12)
-  in
-  let record pl m lp =
-    best_min := m;
-    best_log := lp;
-    best_placement := Some pl
-  in
   (* The trivial placement is the first incumbent. *)
-  let () =
-    let trivial_placement = Problem.trivial pr in
-    let m, lp = Problem.evaluate pr trivial_placement in
-    record trivial_placement m lp
-  in
-  let placement_cost p h =
-    let min_rel = ref 1.0 and log_prod = ref 0.0 in
-    let account r count =
-      if r < !min_rel then min_rel := r;
-      log_prod := !log_prod +. (float_of_int count *. log (Float.max r log_floor))
-    in
-    List.iter
-      (fun (other, oriented, count) ->
-        let oh = placement.(other) in
-        if oh >= 0 then
-          let r = if oriented then pr.score h oh else pr.score oh h in
-          account r count)
-      partners.(p);
-    if measured_set.(p) then account (pr.readout h) 1;
-    (!min_rel, !log_prod)
+  let best_placement = Problem.trivial pr in
+  let best =
+    let m, lp = Problem.evaluate pr best_placement in
+    { best_min = m; best_log = lp }
   in
   (* The original viability rule, plus the O(1) suffix bound: a branch is
      kept only when an optimistic completion could still be recorded. *)
-  let viable depth next_min next_log =
-    match objective with
-    | Problem.Max_min ->
-      (!best_placement = None || next_min >= !best_min -. 1e-12)
-      && Float.min next_min bounds.suffix_min.(depth) >= !best_min -. 1e-12
-    | Problem.Product ->
-      (!best_placement = None || next_log > !best_log)
-      && next_log +. bounds.suffix_log.(depth) >= !best_log
+  let[@inline] viable depth next_min next_log =
+    if max_min then
+      next_min >= best.best_min -. 1e-12
+      && Float.min next_min suffix_min.(depth) >= best.best_min -. 1e-12
+    else next_log > best.best_log && next_log +. suffix_log.(depth) >= best.best_log
   in
-  let class_seen = Array.make n_hardware false in
-  let rec search depth cur_min cur_log =
+  (* Sort key of the candidate buffer: max-min orders by min, then log;
+     product by log, then min; both descending. Hardware qubits arrive in
+     ascending order, so a new candidate goes ahead of every equal key —
+     the order a stable sort of the old prepend-built list gave. *)
+  let[@inline] goes_before m lp j =
+    if max_min then
+      let c = Float.compare m cand_min.(j) in
+      c > 0 || (c = 0 && Float.compare lp cand_log.(j) >= 0)
+    else
+      let c = Float.compare lp cand_log.(j) in
+      c > 0 || (c = 0 && Float.compare m cand_min.(j) >= 0)
+  in
+  let rec search depth =
     if !truncated then ()
-    else if depth = n_program then begin
-      if better cur_min cur_log then record (Array.copy placement) cur_min cur_log
-    end
     else begin
-      let p = order.(depth) in
-      (* Candidate hardware qubits, best local cost first. Dominance: only
-         the first unused member of each hardware symmetry class is
-         branched on — its class twins root isomorphic subtrees explored
-         no earlier, which can never improve on it. *)
-      Array.fill class_seen 0 n_hardware false;
-      let candidates = ref [] in
-      for h = 0 to n_hardware - 1 do
-        if (not used.(h)) && not class_seen.(rep.(h)) then begin
-          class_seen.(rep.(h)) <- true;
-          let m, lp = placement_cost p h in
-          if viable (depth + 1) (Float.min cur_min m) (cur_log +. lp) then
-            candidates := (m, lp, h) :: !candidates
+      let cur_min = path_min.(depth) and cur_log = path_log.(depth) in
+      if depth = n_program then begin
+        (* Incumbent recording rule — identical to the original search. *)
+        let better =
+          if max_min then
+            cur_min > best.best_min +. 1e-12
+            || (cur_min > best.best_min -. 1e-12 && cur_log > best.best_log)
+          else
+            cur_log > best.best_log
+            || (cur_log = best.best_log && cur_min > best.best_min +. 1e-12)
+        in
+        if better then begin
+          best.best_min <- cur_min;
+          best.best_log <- cur_log;
+          Array.blit placement 0 best_placement 0 n_program
         end
-      done;
-      let candidates =
-        let by_min (m1, l1, _) (m2, l2, _) = compare (m2, l2) (m1, l1) in
-        let by_log (m1, l1, _) (m2, l2, _) = compare (l2, m2) (l1, m1) in
-        List.sort
-          (match objective with Problem.Max_min -> by_min | Problem.Product -> by_log)
-          !candidates
-      in
-      List.iter
-        (fun (m, lp, h) ->
-          if not !truncated then begin
-            incr nodes;
-            if !nodes > node_budget then truncated := true
-            else begin
-              let next_min = Float.min cur_min m in
-              if viable (depth + 1) next_min (cur_log +. lp) then begin
-                placement.(p) <- h;
-                used.(h) <- true;
-                search (depth + 1) next_min (cur_log +. lp);
-                used.(h) <- false;
-                placement.(p) <- -1
+      end
+      else begin
+        let p = order.(depth) in
+        let others = partner_other.(p) in
+        let oriented = partner_oriented.(p) in
+        let counts = partner_count.(p) in
+        let measured = measured_set.(p) in
+        let base = depth * n_hardware in
+        let n_cand = ref 0 in
+        (* Candidate hardware qubits, best local cost first. Dominance: only
+           the first unused member of each hardware symmetry class is
+           branched on — its class twins root isomorphic subtrees explored
+           no earlier, which can never improve on it. *)
+        Array.fill class_seen 0 n_hardware false;
+        for h = 0 to n_hardware - 1 do
+          if (not used.(h)) && not class_seen.(rep.(h)) then begin
+            class_seen.(rep.(h)) <- true;
+            (* The placement cost of p on h against the placed partners. *)
+            let m = ref 1.0 and lp = ref 0.0 in
+            for i = 0 to Array.length others - 1 do
+              let oh = placement.(others.(i)) in
+              if oh >= 0 then begin
+                let k = if oriented.(i) then (h * n_hardware) + oh else (oh * n_hardware) + h in
+                let r = score.(k) in
+                if r < !m then m := r;
+                lp := !lp +. (counts.(i) *. log_score.(k))
               end
+            done;
+            if measured then begin
+              let r = readout.(h) in
+              if r < !m then m := r;
+              lp := !lp +. log_readout.(h)
+            end;
+            let m = !m and lp = !lp in
+            if viable (depth + 1) (Float.min cur_min m) (cur_log +. lp) then begin
+              let j = ref (base + !n_cand) in
+              while !j > base && goes_before m lp (!j - 1) do
+                cand_min.(!j) <- cand_min.(!j - 1);
+                cand_log.(!j) <- cand_log.(!j - 1);
+                cand_hw.(!j) <- cand_hw.(!j - 1);
+                decr j
+              done;
+              cand_min.(!j) <- m;
+              cand_log.(!j) <- lp;
+              cand_hw.(!j) <- h;
+              incr n_cand
             end
-          end)
-        candidates
+          end
+        done;
+        let i = ref base in
+        while !i < base + !n_cand && not !truncated do
+          incr nodes;
+          if !nodes > node_budget then truncated := true
+          else begin
+            let h = cand_hw.(!i) in
+            let next_min = Float.min cur_min cand_min.(!i) in
+            let next_log = cur_log +. cand_log.(!i) in
+            if viable (depth + 1) next_min next_log then begin
+              placement.(p) <- h;
+              used.(h) <- true;
+              path_min.(depth + 1) <- next_min;
+              path_log.(depth + 1) <- next_log;
+              search (depth + 1);
+              used.(h) <- false;
+              placement.(p) <- -1
+            end
+          end;
+          incr i
+        done
+      end
     end
   in
-  search 0 1.0 0.0;
-  let pl =
-    match !best_placement with Some pl -> pl | None -> Problem.trivial pr
-  in
+  search 0;
   {
     Report.strategy = "bb";
-    placement = pl;
-    objective = !best_min;
-    log_product = !best_log;
+    placement = best_placement;
+    objective = best.best_min;
+    log_product = best.best_log;
     proven_optimal = not !truncated;
     work = { Report.no_work with search_nodes = !nodes };
     cache = Report.Bypass;

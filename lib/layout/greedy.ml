@@ -28,11 +28,11 @@ let solve (pr : Problem.t) : Report.t =
             (fun (other, oriented, count) ->
               let oh = placement.(other) in
               if oh >= 0 then
-                let r = if oriented then pr.score h oh else pr.score oh h in
-                account r count)
+                account (if oriented then pr.score.(h).(oh) else pr.score.(oh).(h)) count)
             partners.(p);
-          if measured_set.(p) then account (pr.readout h) 1;
-          if compare (!min_rel, !log_prod) (!best_m, !best_l) > 0 then begin
+          if measured_set.(p) then account pr.readout.(h) 1;
+          let by_min = Float.compare !min_rel !best_m in
+          if by_min > 0 || (by_min = 0 && Float.compare !log_prod !best_l > 0) then begin
             best_m := !min_rel;
             best_l := !log_prod;
             best_h := h

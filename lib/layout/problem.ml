@@ -7,8 +7,8 @@ type t = {
   n_hardware : int;
   pairs : ((int * int) * int) list;
   measured : int list;
-  score : int -> int -> float;
-  readout : int -> float;
+  score : float array array;
+  readout : float array;
   objective : objective;
 }
 
@@ -29,6 +29,11 @@ let make ?(objective = Max_min) ~n_program ~n_hardware ~pairs ~measured ~score
       if m < 0 || m >= n_program then
         invalid_arg "Layout.Problem.make: measured qubit out of range")
     measured;
+  if
+    Array.length score <> n_hardware
+    || Array.exists (fun row -> Array.length row <> n_hardware) score
+    || Array.length readout <> n_hardware
+  then invalid_arg "Layout.Problem.make: score tables do not match n_hardware";
   { n_program; n_hardware; pairs; measured; score; readout; objective }
 
 let trivial t = Array.init t.n_program (fun i -> i)
@@ -40,9 +45,9 @@ let evaluate t placement =
     log_prod := !log_prod +. (float_of_int count *. log (Float.max r log_floor))
   in
   List.iter
-    (fun ((a, b), count) -> account (t.score placement.(a) placement.(b)) count)
+    (fun ((a, b), count) -> account t.score.(placement.(a)).(placement.(b)) count)
     t.pairs;
-  List.iter (fun m -> account (t.readout placement.(m)) 1) t.measured;
+  List.iter (fun m -> account t.readout.(placement.(m)) 1) t.measured;
   (!min_rel, !log_prod)
 
 (* Program qubits in decreasing connectivity order: placing the busiest

@@ -2,10 +2,13 @@
 
     The layout engine never sees a circuit or a calibration: callers
     (normally [Triq.Placement]) lower the program's aggregated 2Q
-    interaction pairs, measured qubits, and two scoring closures over
-    hardware qubits into this record. Keeping the engine model-agnostic is
-    what lets [lib/layout] sit below [lib/core] without a dependency
-    cycle. *)
+    interaction pairs, measured qubits, and the dense hardware score
+    tables into this record. Keeping the engine model-agnostic is what
+    lets [lib/layout] sit below [lib/core] without a dependency cycle.
+
+    The tables are read, never written, by the engine, so a caller may
+    pass arrays it keeps for its own use ([Triq.Placement] passes
+    [Reliability]'s) without copying them per problem. *)
 
 (** The optimization objective. [Max_min] is TriQ's (maximize the minimum
     reliability of any mapped operation — prunes aggressively); [Product]
@@ -22,20 +25,23 @@ type t = {
       (** aggregated 2Q interactions over program qubits, first-seen
           orientation, as produced by [Triq.Placement.interactions] *)
   measured : int list;  (** program qubits that are measured *)
-  score : int -> int -> float;  (** directed hardware-pair reliability *)
-  readout : int -> float;  (** hardware-qubit readout reliability *)
+  score : float array array;
+      (** [score.(h).(h')]: directed hardware-pair reliability, an
+          [n_hardware] x [n_hardware] matrix (diagonal unused) *)
+  readout : float array;  (** hardware-qubit readout reliability *)
   objective : objective;
 }
 
-(** Validates ranges and fit; raises [Invalid_argument] otherwise. *)
+(** Validates ranges, fit and the table dimensions; raises
+    [Invalid_argument] otherwise. *)
 val make :
   ?objective:objective ->
   n_program:int ->
   n_hardware:int ->
   pairs:((int * int) * int) list ->
   measured:int list ->
-  score:(int -> int -> float) ->
-  readout:(int -> float) ->
+  score:float array array ->
+  readout:float array ->
   unit ->
   t
 

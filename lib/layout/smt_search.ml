@@ -27,12 +27,12 @@ let solve ?decision_budget (pr : Problem.t) : Report.t =
     let scores = ref [] in
     for h1 = 0 to n_hardware - 1 do
       for h2 = 0 to n_hardware - 1 do
-        if h1 <> h2 then scores := pr.score h1 h2 :: !scores
+        if h1 <> h2 then scores := pr.score.(h1).(h2) :: !scores
       done
     done;
     if pr.measured <> [] then
       for h = 0 to n_hardware - 1 do
-        scores := pr.readout h :: !scores
+        scores := pr.readout.(h) :: !scores
       done;
     Array.of_list (List.sort_uniq Float.compare !scores)
   in
@@ -59,14 +59,14 @@ let solve ?decision_budget (pr : Problem.t) : Report.t =
       for h1 = 0 to n_hardware - 1 do
         for h2 = 0 to n_hardware - 1 do
           if h1 <> h2 then
-            add_band (pr.score h1 h2) [ -var a h1; -var b h2 ]
+            add_band pr.score.(h1).(h2) [ -var a h1; -var b h2 ]
         done
       done)
     pr.pairs;
   List.iter
     (fun m ->
       for h = 0 to n_hardware - 1 do
-        add_band (pr.readout h) [ -var m h ]
+        add_band pr.readout.(h) [ -var m h ]
       done)
     pr.measured;
   (* Per-band clause order is part of neither determinism argument nor the

@@ -118,7 +118,9 @@ let score a b = 0.80 +. (0.01 *. float_of_int (((a * 7) + (b * 3)) mod 13))
 let readout q = 0.90 +. (0.005 *. float_of_int q)
 
 let problem_of ?(n_hardware = 8) ~n_program pairs measured =
-  Layout.Problem.make ~n_program ~n_hardware ~pairs ~measured ~score ~readout ()
+  Layout.Problem.make ~n_program ~n_hardware ~pairs ~measured
+    ~score:(Array.init n_hardware (fun a -> Array.init n_hardware (score a)))
+    ~readout:(Array.init n_hardware readout) ()
 
 let test_cache_relabel_hit () =
   let cache = Cache.create ~capacity:8 () in
