@@ -493,6 +493,42 @@ let check_clifford ~machine ~run_seed c =
 
 (* ---------- layout ---------- *)
 
+(* Problems with at most this many injective placements (8!) are also
+   solved by listing every placement. *)
+let exhaustive_limit = 40_320
+
+let n_placements (pr : Layout.Problem.t) =
+  let rec go acc k =
+    if k = pr.Layout.Problem.n_program || acc > exhaustive_limit then acc
+    else go (acc * (pr.Layout.Problem.n_hardware - k)) (k + 1)
+  in
+  go 1 0
+
+(* The best min reliability and the best log-product over every
+   injective placement, each scored by [Layout.Problem.evaluate]. *)
+let exhaustive_optima (pr : Layout.Problem.t) =
+  let n = pr.Layout.Problem.n_program and n_hardware = pr.Layout.Problem.n_hardware in
+  let placement = Array.make n 0 and used = Array.make n_hardware false in
+  let best_min = ref neg_infinity and best_log = ref neg_infinity in
+  let rec place q =
+    if q = n then begin
+      let m, lp = Layout.Problem.evaluate pr placement in
+      if m > !best_min then best_min := m;
+      if lp > !best_log then best_log := lp
+    end
+    else
+      for h = 0 to n_hardware - 1 do
+        if not used.(h) then begin
+          used.(h) <- true;
+          placement.(q) <- h;
+          place (q + 1);
+          used.(h) <- false
+        end
+      done
+  in
+  place 0;
+  (!best_min, !best_log)
+
 let check_layout ~machine ~day c =
   if not (Device.Machine.fits machine c) then Ok ()
   else begin
@@ -528,6 +564,33 @@ let check_layout ~machine ~day c =
           (Printf.sprintf "bb %.9f and smt %.9f disagree on the objective"
              bb.Layout.Report.objective smt.Layout.Report.objective)
       else Ok ()
+    in
+    (* Small problems: both B&B objectives must reach the exhaustive
+       optimum (max-min on [objective], product on [log_product]). *)
+    let* () =
+      if n_placements pr > exhaustive_limit then Ok ()
+      else begin
+        let best_min, best_log = exhaustive_optima pr in
+        let product =
+          Layout.Bb.solve
+            (Triq.Placement.problem ~objective:Layout.Problem.Product reliability flat)
+        in
+        if
+          bb.Layout.Report.proven_optimal
+          && Float.abs (bb.Layout.Report.objective -. best_min) > 1e-9
+        then
+          Error
+            (Printf.sprintf "bb max-min %.9f, exhaustive optimum %.9f"
+               bb.Layout.Report.objective best_min)
+        else if
+          product.Layout.Report.proven_optimal
+          && Float.abs (product.Layout.Report.log_product -. best_log) > 1e-9
+        then
+          Error
+            (Printf.sprintf "bb product log %.9f, exhaustive optimum %.9f"
+               product.Layout.Report.log_product best_log)
+        else Ok ()
+      end
     in
     (* Cache round-trip: a repeat solve through the process-wide cache
        must score exactly like the first (hit placements are stored in
@@ -794,8 +857,9 @@ let catalog =
     ( "clifford",
       "stabilizer tableau agrees with the dense backend on Clifford circuits" );
     ( "layout",
-      "B&B and SMT agree on the max-min objective; cache hits score \
-       identically to cold solves" );
+      "B&B and SMT agree on the max-min objective; both B&B objectives reach \
+       the exhaustive optimum on problems of at most 8! placements; cache \
+       hits score identically to cold solves" );
   ]
 
 type failure_report = {
