@@ -45,29 +45,34 @@ let to_json (m : Machine.t) =
           ] );
     ]
 
+(* [at path read v] reads [v], naming the member [path] in a type or
+   range error of the accessor. *)
+let at path read v = try read v with Invalid_argument msg -> fail "%s: %s" path msg
+
 let of_json json =
   try
-    let name = Json.to_str (Json.member "name" json) in
-    let basis = interface_of_name (Json.to_str (Json.member "interface" json)) in
-    let qubits = Json.to_int (Json.member "qubits" json) in
+    let name = at "name" Json.to_str (Json.member "name" json) in
+    let basis = interface_of_name (at "interface" Json.to_str (Json.member "interface" json)) in
+    let qubits = at "qubits" Json.to_int (Json.member "qubits" json) in
     let directed =
       match Json.member_opt "directed" json with
-      | Some v -> Json.to_bool v
+      | Some v -> at "directed" Json.to_bool v
       | None -> false
     in
     let edges =
-      List.map
-        (fun pair ->
-          match Json.to_list pair with
-          | [ a; b ] -> (Json.to_int a, Json.to_int b)
+      List.mapi
+        (fun i pair ->
+          let path = Printf.sprintf "edges[%d]" i in
+          match at path Json.to_list pair with
+          | [ a; b ] -> (at (path ^ "[0]") Json.to_int a, at (path ^ "[1]") Json.to_int b)
           | _ -> fail "each edge must be a two-element array")
-        (Json.to_list (Json.member "edges" json))
+        (at "edges" Json.to_list (Json.member "edges" json))
     in
     let seed =
-      match Json.member_opt "seed" json with Some v -> Json.to_int v | None -> 1
+      match Json.member_opt "seed" json with Some v -> at "seed" Json.to_int v | None -> 1
     in
     let p = Json.member "profile" json in
-    let field name = Json.to_float (Json.member name p) in
+    let field name = at ("profile." ^ name) Json.to_float (Json.member name p) in
     let rate name =
       let v = field name in
       if v < 0.0 || v > 1.0 then fail "profile.%s out of [0, 1]" name;

@@ -529,8 +529,10 @@ let test_machine_io_validation () =
     "bad machine: Machine.create: disconnected topology"
     (error_of (with_qubits (Json.Int 50_000_000)));
   Alcotest.(check bool) "rejected in under 0.1 s of CPU" true (Sys.time () -. t0 < 0.1);
-  Alcotest.(check string) "qubits out of int range" "Json.to_int: out of range"
-    (error_of (with_qubits (Json.Float 1e300)))
+  Alcotest.(check string) "qubits out of int range" "qubits: Json.to_int: out of range"
+    (error_of (with_qubits (Json.Float 1e300)));
+  Alcotest.(check string) "qubits as a string" "qubits: Json.to_int: not a number"
+    (error_of (with_qubits (Json.Str "5")))
 
 (* Retargeting: a machine exported and read back compiles every bundled
    program that fits, at every level, to the byte-identical executable
