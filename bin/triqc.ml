@@ -21,28 +21,34 @@
 
 open Cmdliner
 
+(* A bad machine (unknown name, unreadable or invalid description) is a
+   usage error: every subcommand exits 2 on it, through the handler at
+   the bottom of this file. *)
+exception Bad_machine of string
+
 (* A machine is named either by a built-in name or by a JSON description
    file (the paper's device-characteristics-as-input design). *)
 let find_machine spec =
   match Device.Machines.find spec with
-  | Some m -> Ok m
+  | Some m -> m
   | None ->
     let looks_like_file =
       Filename.check_suffix spec ".json" || String.contains spec '/'
       || Sys.file_exists spec
     in
     if looks_like_file then begin
-      try Ok (Device.Machine_io.of_file spec) with
+      try Device.Machine_io.of_file spec with
       | Device.Machine_io.Error msg ->
-        Error (Printf.sprintf "%s: invalid machine description: %s" spec msg)
-      | Sys_error msg -> Error msg
+        raise (Bad_machine (Printf.sprintf "%s: invalid machine description: %s" spec msg))
+      | Sys_error msg -> raise (Bad_machine msg)
     end
     else
-      Error
-        (Printf.sprintf "unknown machine %S (known: %s; or pass a .json description)"
-           spec
-           (String.concat ", "
-              (List.map (fun m -> m.Device.Machine.name) Device.Machines.all)))
+      raise
+        (Bad_machine
+           (Printf.sprintf "unknown machine %S (known: %s; or pass a .json description)"
+              spec
+              (String.concat ", "
+                 (List.map (fun m -> m.Device.Machine.name) Device.Machines.all))))
 
 let find_level name =
   match Triq.Pipeline.level_of_string name with
@@ -217,7 +223,7 @@ let print_stats (r : Triq.Compiled.t) =
 
 let compile_common file machine_name level_name =
   let ( let* ) = Result.bind in
-  let* machine = find_machine machine_name in
+  let machine = find_machine machine_name in
   let* level = find_level level_name in
   let* program = load_program file in
   let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
@@ -428,7 +434,7 @@ let sweep_cmd =
     with_trace trace @@ fun () ->
     let ( let* ) = Result.bind in
     let result =
-      let* machine = find_machine machine_name in
+      let machine = find_machine machine_name in
       let* program = load_program file in
       let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
       Ok (machine, program)
@@ -513,7 +519,7 @@ let verify_cmd =
   let run file machine_name day =
     let ( let* ) = Result.bind in
     let result =
-      let* machine = find_machine machine_name in
+      let machine = find_machine machine_name in
       let* program = load_program file in
       let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
       Ok (machine, program)
@@ -590,25 +596,21 @@ let info_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name.")
   in
   let run machine_name day =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      Format.printf "%a@\n" Device.Machine.pp machine;
-      Format.printf "topology: %a@\n" Device.Topology.pp
-        machine.Device.Machine.topology;
-      let cal = Device.Machine.calibration machine ~day in
-      Format.printf "calibration (day %d):@\n" day;
-      Array.iteri
-        (fun q e ->
-          Format.printf "  q%d: 1Q err %.4f, RO err %.4f@\n" q e
-            (Device.Calibration.readout_err cal q))
-        cal.Device.Calibration.one_q;
-      List.iter
-        (fun ((a, b), e) -> Format.printf "  %d-%d: 2Q err %.4f@\n" a b e)
-        cal.Device.Calibration.two_q;
-      0
+    let machine = find_machine machine_name in
+    Format.printf "%a@\n" Device.Machine.pp machine;
+    Format.printf "topology: %a@\n" Device.Topology.pp
+      machine.Device.Machine.topology;
+    let cal = Device.Machine.calibration machine ~day in
+    Format.printf "calibration (day %d):@\n" day;
+    Array.iteri
+      (fun q e ->
+        Format.printf "  q%d: 1Q err %.4f, RO err %.4f@\n" q e
+          (Device.Calibration.readout_err cal q))
+      cal.Device.Calibration.one_q;
+    List.iter
+      (fun ((a, b), e) -> Format.printf "  %d-%d: 2Q err %.4f@\n" a b e)
+      cal.Device.Calibration.two_q;
+    0
   in
   let doc = "Describe a machine: topology and calibration data." in
   Cmd.v (Cmd.info "info" ~doc) Term.(const run $ machine_pos $ day_arg)
@@ -647,37 +649,33 @@ let characterize_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name or JSON description.")
   in
   let run machine_name day =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      let calibration = Device.Machine.calibration machine ~day in
-      let noise = Sim.Noise.create machine calibration in
-      Printf.printf "Characterizing %s (day %d) by randomized benchmarking:\n\n"
-        machine.Device.Machine.name day;
-      Printf.printf "%-8s %12s %12s %12s\n" "Qubit" "1Q injected" "1Q recovered"
-        "RO error";
-      for q = 0 to Device.Machine.n_qubits machine - 1 do
-        let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q)) in
-        let rb = Characterize.Benchmarking.one_qubit machine ~day ~qubit:q in
-        let ro = Characterize.Benchmarking.readout machine ~day ~qubit:q in
-        Printf.printf "%-8d %12.5f %12.5f %12.5f\n" q injected
-          rb.Characterize.Benchmarking.error_per_gate
-          ro.Characterize.Benchmarking.error
-      done;
-      Printf.printf "\n%-10s %12s %12s\n" "Coupling" "2Q injected" "2Q recovered";
-      List.iter
-        (fun (a, b) ->
-          let injected =
-            Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b))
-          in
-          let rb = Characterize.Benchmarking.two_qubit machine ~day ~a ~b in
-          Printf.printf "%-10s %12.5f %12.5f\n"
-            (Printf.sprintf "%d-%d" a b)
-            injected rb.Characterize.Benchmarking.error_per_gate)
-        (Device.Topology.edges machine.Device.Machine.topology);
-      0
+    let machine = find_machine machine_name in
+    let calibration = Device.Machine.calibration machine ~day in
+    let noise = Sim.Noise.create machine calibration in
+    Printf.printf "Characterizing %s (day %d) by randomized benchmarking:\n\n"
+      machine.Device.Machine.name day;
+    Printf.printf "%-8s %12s %12s %12s\n" "Qubit" "1Q injected" "1Q recovered"
+      "RO error";
+    for q = 0 to Device.Machine.n_qubits machine - 1 do
+      let injected = Sim.Noise.gate_error_prob noise (Ir.Gate.One (Ir.Gate.X, q)) in
+      let rb = Characterize.Benchmarking.one_qubit machine ~day ~qubit:q in
+      let ro = Characterize.Benchmarking.readout machine ~day ~qubit:q in
+      Printf.printf "%-8d %12.5f %12.5f %12.5f\n" q injected
+        rb.Characterize.Benchmarking.error_per_gate
+        ro.Characterize.Benchmarking.error
+    done;
+    Printf.printf "\n%-10s %12s %12s\n" "Coupling" "2Q injected" "2Q recovered";
+    List.iter
+      (fun (a, b) ->
+        let injected =
+          Sim.Noise.gate_error_prob noise (Ir.Gate.Two (Ir.Gate.Cnot, a, b))
+        in
+        let rb = Characterize.Benchmarking.two_qubit machine ~day ~a ~b in
+        Printf.printf "%-10s %12.5f %12.5f\n"
+          (Printf.sprintf "%d-%d" a b)
+          injected rb.Characterize.Benchmarking.error_per_gate)
+      (Device.Topology.edges machine.Device.Machine.topology);
+    0
   in
   let doc = "Estimate a machine's error rates by randomized benchmarking." in
   Cmd.v (Cmd.info "characterize" ~doc) Term.(const run $ machine_pos $ day_arg)
@@ -687,13 +685,9 @@ let export_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"MACHINE" ~doc:"Machine name.")
   in
   let run machine_name =
-    match find_machine machine_name with
-    | Error msg ->
-      Printf.eprintf "triqc: %s\n" msg;
-      1
-    | Ok machine ->
-      print_string (Device.Machine_io.to_string machine);
-      0
+    let machine = find_machine machine_name in
+    print_string (Device.Machine_io.to_string machine);
+    0
   in
   let doc = "Export a machine description as JSON (edit it, then pass the file as -m)." in
   Cmd.v (Cmd.info "export" ~doc) Term.(const run $ machine_pos)
@@ -755,7 +749,7 @@ let lint_cmd =
         | None -> Ok []
         | Some _ when Analysis.Diag.has_errors source_diags -> Ok []
         | Some spec ->
-          let* machine = find_machine spec in
+          let machine = find_machine spec in
           let* level = find_level level_name in
           let* program = load_program file in
           let* () = Device.Machine.require_fits machine program.Scaffold.Lower.circuit in
@@ -855,7 +849,7 @@ let check_cmd =
         match machine_spec with
         | None -> Ok []
         | Some spec ->
-          let* machine = find_machine spec in
+          let machine = find_machine spec in
           let* level = find_level level_name in
           let* () = Device.Machine.require_fits machine circuit in
           let levels = if all_levels then Triq.Pipeline.all_levels else [ level ] in
@@ -1039,34 +1033,30 @@ let bench_cmd =
             p.Bench_kit.Programs.description)
         (Bench_kit.Programs.all @ Bench_kit.Programs.extras);
       0
-    | Some spec -> (
-      match find_machine spec with
-      | Error msg ->
-        Printf.eprintf "triqc: %s\n" msg;
-        1
-      | Ok machine ->
-        Printf.printf "%-10s %6s %8s %8s %10s\n" "Benchmark" "2Q" "ESP" "success"
-          "dominates";
-        List.iter
-          (fun (p : Bench_kit.Programs.t) ->
-            if Device.Machine.fits machine p.Bench_kit.Programs.circuit then begin
-              let compiled =
-                compile_at ~config:(Triq.Pass.Config.make ~day ()) machine
-                  Triq.Pipeline.OneQOptCN p.Bench_kit.Programs.circuit
-              in
-              let outcome =
-                Sim.Runner.simulate
-                  compiled
-                  p.Bench_kit.Programs.spec
-              in
-              Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" p.Bench_kit.Programs.name
-                compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
-                outcome.Sim.Runner.success_rate
-                (if outcome.Sim.Runner.dominant_correct then "yes" else "NO")
-            end
-            else Printf.printf "%-10s %6s\n" p.Bench_kit.Programs.name "X")
-          Bench_kit.Programs.all;
-        0)
+    | Some spec ->
+      let machine = find_machine spec in
+      Printf.printf "%-10s %6s %8s %8s %10s\n" "Benchmark" "2Q" "ESP" "success"
+        "dominates";
+      List.iter
+        (fun (p : Bench_kit.Programs.t) ->
+          if Device.Machine.fits machine p.Bench_kit.Programs.circuit then begin
+            let compiled =
+              compile_at ~config:(Triq.Pass.Config.make ~day ()) machine
+                Triq.Pipeline.OneQOptCN p.Bench_kit.Programs.circuit
+            in
+            let outcome =
+              Sim.Runner.simulate
+                compiled
+                p.Bench_kit.Programs.spec
+            in
+            Printf.printf "%-10s %6d %8.3f %8.3f %10s\n" p.Bench_kit.Programs.name
+              compiled.Triq.Compiled.two_q_count compiled.Triq.Compiled.esp
+              outcome.Sim.Runner.success_rate
+              (if outcome.Sim.Runner.dominant_correct then "yes" else "NO")
+          end
+          else Printf.printf "%-10s %6s\n" p.Bench_kit.Programs.name "X")
+        Bench_kit.Programs.all;
+      0
   in
   let doc = "List the built-in benchmarks, or run them all on a machine (--run)." in
   Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ jobs_arg $ run_arg $ day_arg)
@@ -1154,4 +1144,7 @@ let () =
       1
     | Invalid_argument msg ->
       Printf.eprintf "triqc: %s\n" msg;
-      1)
+      1
+    | Bad_machine msg ->
+      Printf.eprintf "triqc: %s\n" msg;
+      2)
