@@ -24,12 +24,13 @@
 
    A search node costs memory reads. Once per solve, the score matrix is
    flattened and every score and readout gets its clamped log,
-   [log (Float.max r log_floor)] — the expression the per-candidate cost
-   used to evaluate, so every sum is bit-identical. Each program qubit's
-   partners become parallel arrays, and each depth owns a preallocated
-   candidate buffer kept sorted by insertion. The running (min, log) pair
-   of every depth lives in float arrays, so the recursion passes only the
-   depth and allocates nothing between incumbents. *)
+   [log (Float.max r log_floor)] (the term [Problem.evaluate] takes), so
+   a node sums table entries instead of calling [log]. Each program
+   qubit's partners become parallel arrays, and each depth owns a
+   preallocated candidate buffer kept sorted by insertion. The running
+   (min, log) pair of every depth lives in float arrays, so the
+   recursion passes only the depth and allocates nothing between
+   incumbents. *)
 
 let log_floor = Problem.log_floor
 let default_node_budget = 200_000
@@ -166,15 +167,12 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   let order = Problem.order pr in
   let rep = symmetry_reps tb in
   let { suffix_min; suffix_log } = compute_bounds pr tb order partners measured_set in
-  (* partners.(p) as parallel arrays, in the same order, with counts as
-     the floats the cost multiplies by. *)
-  let partner_other = Array.map (fun l -> Array.of_list (List.map (fun (o, _, _) -> o) l)) partners in
-  let partner_oriented =
-    Array.map (fun l -> Array.of_list (List.map (fun (_, o, _) -> o) l)) partners
-  in
-  let partner_count =
-    Array.map (fun l -> Array.of_list (List.map (fun (_, _, c) -> float_of_int c) l)) partners
-  in
+  (* partners.(p) as parallel arrays, in the same order (the cost's
+     summation order), with counts as the floats the cost multiplies by. *)
+  let column f = Array.map (fun l -> Array.of_list (List.map f l)) partners in
+  let partner_other = column (fun (o, _, _) -> o) in
+  let partner_oriented = column (fun (_, o, _) -> o) in
+  let partner_count = column (fun (_, _, c) -> float_of_int c) in
   let score = tb.score and log_score = tb.log_score in
   let readout = tb.readout and log_readout = tb.log_readout in
   let placement = Array.make n_program (-1) in
@@ -205,8 +203,9 @@ let solve ?(node_budget = default_node_budget) (pr : Problem.t) : Report.t =
   in
   (* Sort key of the candidate buffer: max-min orders by min, then log;
      product by log, then min; both descending. Hardware qubits arrive in
-     ascending order, so a new candidate goes ahead of every equal key —
-     the order a stable sort of the old prepend-built list gave. *)
+     ascending order and a new candidate goes ahead of every equal key, so
+     ties leave in descending hardware index — part of the search order
+     the pinned node counts and placements depend on. *)
   let[@inline] goes_before m lp j =
     if max_min then
       let c = Float.compare m cand_min.(j) in
